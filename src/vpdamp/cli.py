@@ -49,8 +49,7 @@ Exit codes: 0 success, 2 inconclusive diagnostics, 1 error.  Flags
 --config/--out/--threads/--seed; environment variables VPDAMP_CONFIG,
 VPDAMP_OUT, VPDAMP_THREADS, VPDAMP_SEED supply defaults for the
 matching flags (explicit flags win).  --seed applies to random initial
-data only.  Reruns with the same config and thread count are
-byte-identical.
+data only.  Reruns with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ from . import __version__
 from .equilibria import Equilibrium, gaussian, two_stream, zero
 from .linear import DensityTrace, cosine_initial_hat, fit_decay, source_from_initial, volterra_solve
 from .nonlinear import RunConfig, Snapshot, closure_residual, echo_experiment, run
-from .norms import (WeightParams, _snapshot_density, check_contraction, check_F_le_sqrtG,
-                    check_FG1, check_multiplier, eta_tail_fraction, norm_profile, radius)
+from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_FG1,
+                    check_multiplier, eta_tail_fraction, norm_profile, radius, snapshot_density)
 from .penrose import full_report
 from .spectral import Grid, required_nv
 
@@ -686,7 +685,7 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
     for i in pick:
         snap = stored.snapshots[i]
         state = snap.to_state(grid)
-        rho = _snapshot_density(stored, snap.t)
+        rho = snapshot_density(stored, snap.t)
         lam = float(radius(snap.t, params))
         for z in (0.0, lam / 2.0, lam):
             m = check_F_le_sqrtG(state, rho, z, params)
@@ -761,7 +760,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the experiment config "
                        "(or set VPDAMP_CONFIG)")
         p.add_argument("--out", help="output directory override (or VPDAMP_OUT)")
-        p.add_argument("--threads", type=int, help="worker threads (or VPDAMP_THREADS)")
+        p.add_argument("--threads", type=int, help="thread count, validated and "
+                       "recorded in the summary; the solver is serial (or VPDAMP_THREADS)")
         p.add_argument("--seed", type=int, help="RNG seed; random initial data "
                        "only (or VPDAMP_SEED)")
     return parser

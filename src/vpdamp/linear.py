@@ -27,7 +27,7 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .penrose import strip_width
-from .spectral import SpectralState, oscillatory_moment
+from .spectral import SpectralState, oscillatory_moment, phase_sum
 
 TRACE_FLOOR = 1e-14
 
@@ -157,14 +157,20 @@ class ResolventKernel:
     theta_fit: float
 
 
-_strip_cache: dict = {}
+_strip_cache: dict = {}  # (id(eq), name) -> (eq, strip width)
 
 
 def _certified_strip(eq: Equilibrium) -> float:
+    """strip_width(eq), computed once per Equilibrium object.
+
+    The entry keeps its equilibrium and is served only to that object, so a
+    new equilibrium that reuses a freed one's id gets its own strip.
+    """
     key = (id(eq), eq.name)
-    if key not in _strip_cache:
-        _strip_cache[key] = strip_width(eq)
-    return _strip_cache[key]
+    entry = _strip_cache.get(key)
+    if entry is None or entry[0] is not eq:
+        entry = _strip_cache[key] = (eq, strip_width(eq))
+    return entry[1]
 
 
 def contour_parameters(eq: Equilibrium, k: int, t_max: float):
@@ -225,14 +231,7 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
     w = np.full(n_quad, Omega / (n_quad - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    Gw = G * w
-
-    remainder = np.empty(times.size, dtype=float)
-    block = 256
-    for s in range(0, times.size, block):
-        tb = times[s : s + block]
-        phase = np.exp(np.outer(tb, lam))  # e^{lambda t}
-        remainder[s : s + block] = (phase @ Gw).real / math.pi
+    remainder = phase_sum(times, lam, G * w).real / math.pi  # phases e^{lambda t}
 
     values = -kappa_t + auto + remainder
     C_fit, theta_fit = _fit_kernel_envelope(ak, times, values)
@@ -286,7 +285,7 @@ def _fit_kernel_envelope(ak: int, times: np.ndarray, values: np.ndarray):
     if scale == 0.0:
         return 0.0, 1.0
     usable = mag > max(TRACE_FLOOR, 1e-12 * scale)
-    idx = _local_maxima(mag)
+    idx = local_maxima(mag)
     idx = idx[usable[idx]] if idx.size else idx
     if idx.size < 8:
         idx = np.flatnonzero(usable)
@@ -300,7 +299,8 @@ def _fit_kernel_envelope(ak: int, times: np.ndarray, values: np.ndarray):
     return C_fit, theta_fit
 
 
-def _local_maxima(mag: np.ndarray) -> np.ndarray:
+def local_maxima(mag: np.ndarray) -> np.ndarray:
+    """Indices of interior samples no smaller than either neighbour."""
     if mag.size < 3:
         return np.array([], dtype=int)
     interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
@@ -359,7 +359,7 @@ def fit_decay(trace: DensityTrace, gamma: float = 1.0, window=None,
     if use_envelope is None:
         use_envelope = gamma == 1.0
     if use_envelope:
-        idx = _local_maxima(mag)
+        idx = local_maxima(mag)
         idx = idx[mask[idx]] if idx.size else idx
         if idx.size < 8:
             idx = np.flatnonzero(mask)

@@ -16,15 +16,14 @@ re-enforced once per accepted step; the residual drift is logged.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .equilibria import Equilibrium
-from .linear import DensityTrace, cosine_initial_hat
-from .spectral import Grid, SpectralState, required_nv
+from .linear import DensityTrace, cosine_initial_hat, local_maxima
+from .spectral import Grid, SpectralState, phase_rows, phase_sum, required_nv
 
 NOISE_FLOOR = 1e-13
 
@@ -50,7 +49,7 @@ class RunConfig:
     quadratic_term: bool = True
     trace_stride: int = 1
     snapshot_stride: int = 0
-    threads: int = 1
+    threads: int = 1  # validated and recorded; the stepper is serial
     profile: Optional[Equilibrium] = None  # data envelope; defaults to eq
 
     def __post_init__(self):
@@ -134,33 +133,22 @@ class _Engine:
     """Precomputed grid machinery shared by every rhs evaluation."""
 
     def __init__(self, grid: Grid, eq: Equilibrium, linear_term: bool,
-                 quadratic_term: bool, threads: int):
+                 quadratic_term: bool):
         self.grid = grid
         self.K = grid.k_max
         self.v = grid.v
         self.dv = grid.dv
         self.linear_term = linear_term
         self.quadratic_term = quadratic_term
-        self.threads = threads
         self.mu_prime = np.asarray(eq.mu_prime(grid.v), dtype=float)
         xi = 2.0 * np.pi * np.fft.fftfreq(grid.N_v, d=grid.dv)
         xi[grid.N_v // 2] = 0.0  # unpaired odd mode has no consistent derivative
         self._deriv_symbol = 1j * xi
         self._ks_pos = np.arange(1, self.K + 1)
-        self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
 
     def pos_rows(self, t: float) -> np.ndarray:
-        """Rows e^{-i k t v} for k = 1..k_max, built by cumulative products."""
-        rows = np.empty((self.K, self.grid.N_v), dtype=np.complex128)
-        base = np.exp(-1j * t * self.v)
-        rows[0] = base
-        for i in range(1, self.K):
-            np.multiply(rows[i - 1], base, out=rows[i])
-        return rows
+        """Rows e^{-i k t v} for k = 1..k_max."""
+        return phase_rows(t, self.v, self.K)
 
     def density_pos(self, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return self.dv * np.einsum("kj,kj->k", data[self.K + 1 :], rows)
@@ -184,26 +172,17 @@ class _Engine:
             W = self.v_derivative(data)
             for m in range(-K, K + 1):
                 W[K + m] -= 1j * m * t * data[K + m]
-            ells = [l for l in range(-K, K + 1) if l != 0]
-
-            def contribution(l):
+            for l in range(-K, K + 1):  # fixed l order keeps runs bit-identical
+                if l == 0:
+                    continue
                 if l > 0:
-                    El = E_pos[l - 1]
-                    phase = np.conj(rows[l - 1])
+                    El, phase = E_pos[l - 1], np.conj(rows[l - 1])
                 else:
-                    El = np.conj(E_pos[-l - 1])
-                    phase = rows[-l - 1]
+                    El, phase = np.conj(E_pos[-l - 1]), rows[-l - 1]
                 k_lo = max(0, l - K)
                 k_hi = min(K, K + l)
                 block = W[K + k_lo - l : K + k_hi - l + 1]
-                return k_lo, k_hi, El * phase * block
-
-            if self._pool is None:
-                parts = map(contribution, ells)
-            else:
-                parts = self._pool.map(contribution, ells)
-            for k_lo, k_hi, part in parts:  # fixed l order keeps runs bit-identical
-                out[K + k_lo : K + k_hi + 1] -= part
+                out[K + k_lo : K + k_hi + 1] -= El * phase * block
 
         out[:K] = np.conj(out[:K:-1])  # negative modes mirror the positive ones
         return out
@@ -243,23 +222,20 @@ def _symmetrize(data: np.ndarray) -> float:
 
 
 def step(state: SpectralState, eq: Equilibrium, dt: float, *, linear_term: bool = True,
-         quadratic_term: bool = True, threads: int = 1) -> SpectralState:
+         quadratic_term: bool = True) -> SpectralState:
     """One classical 4-stage step from state.t, reality re-enforced."""
-    eng = _Engine(state.grid, eq, linear_term, quadratic_term, threads)
-    try:
-        eng.check_stability(state.data, state.t, dt)
-        data = eng.rk4(state.data, state.t, dt)
-        _symmetrize(data)
-        return SpectralState(state.grid, data, state.t + dt)
-    finally:
-        eng.close()
+    eng = _Engine(state.grid, eq, linear_term, quadratic_term)
+    eng.check_stability(state.data, state.t, dt)
+    data = eng.rk4(state.data, state.t, dt)
+    _symmetrize(data)
+    return SpectralState(state.grid, data, state.t + dt)
 
 
 def run(config: RunConfig) -> RunOutput:
     """Advance the configured state to t_final, recording traces and diagnostics."""
     g = config.grid
     K = g.k_max
-    eng = _Engine(g, config.eq, config.linear_term, config.quadratic_term, config.threads)
+    eng = _Engine(g, config.eq, config.linear_term, config.quadratic_term)
     init = initial_state(g, config.eq, config.modes, config.profile)
     data = init.data.copy()
     N = config.n_steps
@@ -290,26 +266,23 @@ def run(config: RunConfig) -> RunOutput:
         edge = eng.dv * float(np.sum(np.abs(data[0]) ** 2) + np.sum(np.abs(data[-1]) ** 2))
         dealias[i] = emax * math.sqrt(edge)
 
-    try:
-        drift_max = 0.0
-        pending_drift = 0.0
-        record(0, 0.0, 0.0)
-        if config.snapshot_stride > 0:
-            snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
-        for n in range(1, N + 1):
-            t_prev = (n - 1) * dt
-            eng.check_stability(data, t_prev, dt)
-            data = eng.rk4(data, t_prev, dt)
-            d = _symmetrize(data)
-            drift_max = max(drift_max, d)
-            pending_drift = max(pending_drift, d)
-            if n in rec_set:
-                record(n, n * dt, pending_drift)
-                pending_drift = 0.0
-            if config.snapshot_stride > 0 and n % config.snapshot_stride == 0:
-                snapshots.append(Snapshot(n * dt, data.astype(np.complex64)))
-    finally:
-        eng.close()
+    drift_max = 0.0
+    pending_drift = 0.0
+    record(0, 0.0, 0.0)
+    if config.snapshot_stride > 0:
+        snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
+    for n in range(1, N + 1):
+        t_prev = (n - 1) * dt
+        eng.check_stability(data, t_prev, dt)
+        data = eng.rk4(data, t_prev, dt)
+        d = _symmetrize(data)
+        drift_max = max(drift_max, d)
+        pending_drift = max(pending_drift, d)
+        if n in rec_set:
+            record(n, n * dt, pending_drift)
+            pending_drift = 0.0
+        if config.snapshot_stride > 0 and n % config.snapshot_stride == 0:
+            snapshots.append(Snapshot(n * dt, data.astype(np.complex64)))
 
     if not snapshots or snapshots[-1].t != N * dt:
         snapshots.append(Snapshot(N * dt, data.astype(np.complex64)))
@@ -343,8 +316,8 @@ def closure_residual(output: RunOutput) -> float:
     with the same trapezoid rule; what is NOT shared with the time
     stepper is the identity itself, so the residual measures whether the
     evolution solved the right equation.  The interaction integral is
-    accumulated in running (mode, shift, velocity) buffers, turning the
-    naive cubic sweep into one pass over the snapshots.
+    gathered over (k, l) pairs into running (k, velocity) buffers, turning
+    the naive cubic sweep into one pass over the snapshots.
     """
     cfg = output.config
     if cfg.trace_stride != 1:
@@ -381,57 +354,44 @@ def closure_residual(output: RunOutput) -> float:
 
     # initial-data moments S0_k(t_n), exact in v
     init = output.initial_state.data
-    S0 = np.empty((K, N + 1), dtype=np.complex128)
-    for k in ks:
-        phases = np.exp(np.outer(-1j * k * times, v))
-        S0[k - 1] = dv * phases @ init[K + k]
+    S0 = np.array([dv * phase_sum(-1j * k * times, v, init[K + k]) for k in ks])
+    base = rho + volterra - S0
 
     if not cfg.quadratic_term:
-        r_all = rho + volterra - S0
-        return float(np.max(np.abs(r_all)))
+        return float(np.max(np.abs(base)))
 
-    # interaction integral via running accumulators over the snapshot pass
+    # Interaction integral via running accumulators over the snapshot pass.
+    # Pair (k, l) reads mode m = k - l; pairs with |m| > K get zero weight.
+    # The weights k/l do not depend on time, so the l sum is taken per snapshot.
     ells = np.array([l for l in range(-K, K + 1) if l != 0])
-    n_l = ells.size
-    P = np.zeros((g.n_modes, n_l, g.N_v), dtype=np.complex128)
-    Ra = np.zeros_like(P)
-    f_prev = np.zeros_like(P)
-    f_cur = np.empty_like(P)
-    residual = 0.0
+    m = ks[:, None] - ells[None, :]
+    m_row = K + np.clip(m, -K, K)
+    weight = np.where(np.abs(m) <= K, ks[:, None] / ells[None, :], 0.0)
+    pairs = np.empty((K, ells.size, g.N_v), dtype=np.complex128)
+    f_prev = np.empty((K, g.N_v), dtype=np.complex128)
+    f_cur = np.empty_like(f_prev)
+    P = np.zeros_like(f_prev)
+    Ra = np.zeros_like(f_prev)
 
-    def integrand(n: int, out: np.ndarray):
-        s = times[n]
-        gdat = snaps[n].data.astype(np.complex128)
-        base = np.exp(1j * s * v)
-        pos = np.empty((K, g.N_v), dtype=np.complex128)
-        pos[0] = base
-        for i in range(1, K):
-            np.multiply(pos[i - 1], base, out=pos[i])
-        B = np.empty((n_l, g.N_v), dtype=np.complex128)
-        for i, l in enumerate(ells):
-            r = rho[l - 1, n] if l > 0 else np.conj(rho[-l - 1, n])
-            B[i] = r * (pos[l - 1] if l > 0 else np.conj(pos[-l - 1]))
-        np.einsum("mj,lj->mlj", gdat, B, out=out)
-        return pos
+    def integrand(n: int, out: np.ndarray) -> np.ndarray:
+        """sum_l (k/l) g_{k-l} rho_l e^{i l s v} at s = times[n]; returns e^{-i k s v}."""
+        rows = phase_rows(times[n], v, K)
+        b_pos = rho[:, n, None] * np.conj(rows)  # l = 1..K; l < 0 are conjugates
+        np.take(snaps[n].data.astype(np.complex128), m_row, axis=0, out=pairs)
+        np.multiply(pairs, np.concatenate([np.conj(b_pos[::-1]), b_pos]), out=pairs)
+        np.einsum("kl,klj->kj", weight, pairs, out=out)
+        return rows
 
-    pos0 = integrand(0, f_prev)
+    integrand(0, f_prev)
     # t = 0: all integrals vanish; residual is rho(0) - S0(0) = 0 by construction
+    residual = 0.0
+    w = 0.5 * dt
     for n in range(1, N + 1):
-        pos = integrand(n, f_cur)
-        w = 0.5 * dt
+        rows = integrand(n, f_cur)
         P += w * (f_prev + f_cur)
         Ra += w * (times[n - 1] * f_prev + times[n] * f_cur)
-        t_n = times[n]
-        for k in ks:
-            acc = np.zeros(g.N_v, dtype=np.complex128)
-            for i, l in enumerate(ells):
-                m = k - l
-                if abs(m) > K:
-                    continue
-                acc += (k / l) * (t_n * P[K + m, i] - Ra[K + m, i])
-            Q = dv * np.dot(acc, np.conj(pos[k - 1]))
-            r = rho[k - 1, n] + volterra[k - 1, n] - S0[k - 1, n] + Q
-            residual = max(residual, abs(r))
+        Q = dv * np.einsum("kj,kj->k", times[n] * P - Ra, rows)
+        residual = max(residual, float(np.max(np.abs(base[:, n] + Q))))
         f_prev, f_cur = f_cur, f_prev
     return residual
 
@@ -460,10 +420,7 @@ class EchoReport:
 
 def _interior_peak(times: np.ndarray, mag: np.ndarray):
     """Largest interior local maximum, or None below the noise floor."""
-    if mag.size < 3:
-        return None
-    interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-    idx = np.flatnonzero(interior) + 1
+    idx = local_maxima(mag)
     idx = idx[mag[idx] > NOISE_FLOOR]
     if idx.size == 0:
         return None

@@ -219,7 +219,7 @@ class NormProfile:
             raise ValueError("F must be nondecreasing in z")
 
 
-def _snapshot_density(output, t: float):
+def snapshot_density(output, t: float):
     """Mode -> coefficient dict from the recorded traces at time t."""
     times = output.times
     i = int(np.searchsorted(times, t))
@@ -240,7 +240,7 @@ def norm_profile(output, params: WeightParams, z_grid=None) -> NormProfile:
         state = snap.to_state(grid)
         _guard_overflow(state, float(zs[-1]), params)
         b, mass = _state_tables(state)
-        rho = _snapshot_density(output, snap.t)
+        rho = snapshot_density(output, snap.t)
         for j, z in enumerate(zs):
             G[i, j] = _G_from_tables(b, mass, float(z), grid.deta, params)
             F[i, j] = gen_F(rho, snap.t, float(z), params)

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import Equilibrium
+from .spectral import phase_sum
 
 TAIL_TOL = 1e-15
 ROOT_RESIDUAL_TOL = 1e-10
@@ -112,14 +113,6 @@ def _quad_nodes(eq: Equilibrium, k: int, lam_arr: np.ndarray, extra: float = 0.0
     return nodes, weights
 
 
-def _transform_batch(lam_arr: np.ndarray, nodes: np.ndarray, f: np.ndarray) -> np.ndarray:
-    out = np.empty(lam_arr.shape, dtype=complex)
-    block = 256
-    for s in range(0, lam_arr.size, block):
-        out[s : s + block] = np.exp(-np.outer(lam_arr[s : s + block], nodes)) @ f
-    return out
-
-
 def laplace_symbol(eq: Equilibrium, k: int, lam):
     """Laplace transform of t mu_hat(k t) at lambda (scalar or array).
 
@@ -134,7 +127,7 @@ def laplace_symbol(eq: Equilibrium, k: int, lam):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     nodes, weights = _quad_nodes(eq, k, lam_arr)
     f = weights * nodes * np.asarray(eq.mu_hat(k * nodes), dtype=float)
-    out = _transform_batch(lam_arr, nodes, f)
+    out = phase_sum(-lam_arr, nodes, f)
     return complex(out[0]) if np.ndim(lam) == 0 else out
 
 
@@ -149,7 +142,7 @@ def _symbol_derivative(eq: Equilibrium, k: int, lam):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     nodes, weights = _quad_nodes(eq, k, lam_arr, extra=2.0)
     f = -weights * nodes**2 * np.asarray(eq.mu_hat(k * nodes), dtype=float)
-    out = _transform_batch(lam_arr, nodes, f)
+    out = phase_sum(-lam_arr, nodes, f)
     return complex(out[0]) if np.ndim(lam) == 0 else out
 
 

@@ -250,3 +250,21 @@ def oscillatory_moment(state: SpectralState, k: int, phase_rate: float) -> compl
 
 def _moment_nocheck(row: np.ndarray, v: np.ndarray, dv: float, a: float) -> complex:
     return complex(dv * np.sum(row * np.exp(-1j * a * v)))
+
+
+def phase_rows(a: float, v: np.ndarray, n: int) -> np.ndarray:
+    """Rows e^{-i m a v} for m = 1..n, built by cumulative products."""
+    rows = np.empty((n, v.size), dtype=np.complex128)
+    base = np.exp(-1j * a * v)
+    rows[0] = base
+    for i in range(1, n):
+        np.multiply(rows[i - 1], base, out=rows[i])
+    return rows
+
+
+def phase_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums sum_j e^{a_i b_j} w_j for a 1-d a; 256-row blocks bound the phase matrix."""
+    out = np.empty(a.size, dtype=np.complex128)
+    for s in range(0, a.size, 256):
+        out[s : s + 256] = np.exp(np.outer(a[s : s + 256], b)) @ w
+    return out

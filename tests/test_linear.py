@@ -1,8 +1,11 @@
 """Tests for the linearized density evolution module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from vpdamp import linear
 from vpdamp.equilibria import gaussian, zero
 from vpdamp.linear import (
     DensityTrace,
@@ -145,6 +148,14 @@ class TestKernel:
     def test_abscissa_beyond_strip_refused(self):
         with pytest.raises(ValueError, match="certified strip"):
             resolvent_kernel(EQ, 1, 0.9, 100.0, 512, np.linspace(0, 1, 11))
+
+    def test_strip_cache_serves_each_equilibrium_its_own_width(self, monkeypatch):
+        # Short-lived equilibria reuse freed ids; none may receive another's strip.
+        monkeypatch.setattr(linear, "_strip_cache", {})
+        monkeypatch.setattr(linear, "strip_width", lambda eq: 0.5 * eq.theta0)
+        for i in range(20):
+            eq = dataclasses.replace(gaussian(), theta0=1.0 - 0.03 * i)
+            assert linear._certified_strip(eq) == 0.5 * eq.theta0
 
     def test_omega_tail_refused(self):
         with pytest.raises(ValueError, match="tail"):

@@ -1,5 +1,7 @@
 """Tests for the nonlinear evolution in the free-transport frame."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -197,13 +199,10 @@ class TestRhsOracle:
                         modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
         state = run(cfg).final_state
         t = 0.5
-        eng = _Engine(g, EQ, True, True, 1)
-        try:
-            rhs = eng.rhs(state.data, t)
-            rows = eng.pos_rows(t)
-            E_pos = eng.density_pos(state.data, rows) / (1j * np.arange(1, g.k_max + 1))
-        finally:
-            eng.close()
+        eng = _Engine(g, EQ, True, True)
+        rhs = eng.rhs(state.data, t)
+        rows = eng.pos_rows(t)
+        E_pos = eng.density_pos(state.data, rows) / (1j * np.arange(1, g.k_max + 1))
         K = g.k_max
         E = np.zeros(2 * K + 1, dtype=complex)
         E[K + 1:] = E_pos
@@ -287,6 +286,17 @@ class TestClosure:
         cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-3, t_final=10.0, modes=((1, 1e-3, 0.0),),
                         snapshot_stride=1)
         assert closure_residual(run(cfg)) < 1e-5
+
+    def test_interaction_pairing_is_visible(self):
+        # At amplitude 2e-2 the quadratic interaction integral is far above
+        # the discretization residual, so reading the same run without it
+        # (or with a wrong (k, l) pairing) must fail the identity.
+        cfg = RunConfig(eq=EQ, grid=Grid(k_max=4, V=8.0, N_v=512), dt=1e-2, t_final=2.0,
+                        modes=((1, 2e-2, 0.0), (2, 2e-2, 1.0)), snapshot_stride=1)
+        out = run(cfg)
+        assert closure_residual(out) < 1e-6
+        without = dataclasses.replace(out, config=dataclasses.replace(cfg, quadratic_term=False))
+        assert closure_residual(without) > 1e-5
 
     def test_zero_data_gives_zero(self):
         cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 0.0, 0.0),),

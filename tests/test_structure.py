@@ -1,0 +1,24 @@
+"""Structure checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import vpdamp
+
+MODULES = sorted(Path(vpdamp.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    # A helper another module needs is part of its module's public surface.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"line {node.lineno}: from .{node.module or ''} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"
