@@ -8,9 +8,10 @@ interpolation enters the hot loop.  Densities are read off by
 oscillatory moments at phase rate k t, so the resolution rule of the
 spectral module is the only sampling constraint.
 
-Reality of the underlying distribution is maintained by construction
-inside the right-hand side (negative modes are conjugate copies) and
-re-enforced once per accepted step; the residual drift is logged.
+Reality of the underlying distribution (g_{-k} = conj(g_k)) is kept by
+construction: the RK4 stepper advances only the rows k >= 0 and mirrors
+them into the negative rows once per step.  What is left to re-enforce
+is the imaginary part of the mean mode, whose drift is logged.
 """
 
 from __future__ import annotations
@@ -130,12 +131,11 @@ def initial_state(grid: Grid, eq: Equilibrium, modes, profile: Optional[Equilibr
 
 
 class _Engine:
-    """Precomputed grid machinery shared by every rhs evaluation."""
+    """Grid machinery and preallocated buffers for the stepper of rows k = 0..k_max."""
 
     def __init__(self, grid: Grid, eq: Equilibrium, linear_term: bool,
                  quadratic_term: bool):
-        self.grid = grid
-        self.K = grid.k_max
+        self.K = K = grid.k_max
         self.v = grid.v
         self.dv = grid.dv
         self.linear_term = linear_term
@@ -144,73 +144,76 @@ class _Engine:
         xi = 2.0 * np.pi * np.fft.fftfreq(grid.N_v, d=grid.dv)
         xi[grid.N_v // 2] = 0.0  # unpaired odd mode has no consistent derivative
         self._deriv_symbol = 1j * xi
-        self._ks_pos = np.arange(1, self.K + 1)
+        self._ks = np.arange(1, K + 1)
+        self._W = np.empty((2 * K + 1, grid.N_v), dtype=np.complex128)  # row K+m
+        self._C = np.empty_like(self._W)  # E_l e^{i l v t} at row K+l
+        self._prod, self._y, self._acc, self._k = np.empty((4, K + 1, grid.N_v),
+                                                           dtype=np.complex128)
 
-    def pos_rows(self, t: float) -> np.ndarray:
-        """Rows e^{-i k t v} for k = 1..k_max."""
-        return phase_rows(t, self.v, self.K)
-
-    def density_pos(self, data: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return self.dv * np.einsum("kj,kj->k", data[self.K + 1 :], rows)
-
-    def v_derivative(self, data: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self._deriv_symbol * np.fft.fft(data, axis=-1), axis=-1)
-
-    def rhs(self, data: np.ndarray, t: float) -> np.ndarray:
+    def _stage(self, h: np.ndarray, t: float, rows: np.ndarray, out: np.ndarray,
+               dt: Optional[float] = None) -> None:
+        """d/dt of h = data[k_max:] into out, given phase_rows at t; dt checks stability."""
         K = self.K
-        rows = self.pos_rows(t)
-        rho_pos = self.density_pos(data, rows)
-        E_pos = rho_pos / (1j * self._ks_pos)
-        out = np.zeros_like(data)
+        out.fill(0.0)
+        if not (self.linear_term or self.quadratic_term):
+            return
+        rho = self.dv * np.einsum("kj,kj->k", h[1:], rows)
+        if dt is not None:
+            emax = float(np.max(np.abs(rho) / self._ks))
+            if dt * K * (1.0 + t) * emax >= 0.5:
+                raise StabilityError(
+                    f"dt = {dt:g} violates dt*k_max*(1+t)*max|E| < 0.5 at t = {t:g}; "
+                    f"use dt < {0.5 / (K * (1.0 + t) * emax):.3e}"
+                )
+        # C_l = E_l e^{i l v t}: rows l < 0 are conj(E_|l|) e^{-i |l| v t}, l > 0 their mirror
+        C, prod = self._C, self._prod
+        np.multiply(np.conj(rho / (1j * self._ks))[::-1, None], rows[::-1], out=C[:K])
+        np.conjugate(C[K - 1 :: -1], out=C[K + 1 :])
 
         if self.linear_term:
-            # -E_k e^{i k v t} mu'(v), driving row k; e^{ikvt} = conj(rows[k-1])
-            for k in range(1, K + 1):
-                out[K + k] -= E_pos[k - 1] * np.conj(rows[k - 1]) * self.mu_prime
+            # -E_k e^{i k v t} mu'(v), driving row k
+            out[1:] -= np.multiply(C[K + 1 :], self.mu_prime, out=prod[:K])
 
         if self.quadratic_term:
-            W = self.v_derivative(data)
-            for m in range(-K, K + 1):
-                W[K + m] -= 1j * m * t * data[K + m]
+            # W_m = d_v g_m - i m t g_m; negative m and l are conjugate mirrors
+            W = self._W
+            F = np.fft.fft(h, axis=-1)
+            F *= self._deriv_symbol
+            W[K:] = np.fft.ifft(F, axis=-1)
+            W[K + 1 :] -= np.multiply((1j * t * self._ks)[:, None], h[1:], out=prod[:K])
+            np.conjugate(W[:K:-1], out=W[:K])
             for l in range(-K, K + 1):  # fixed l order keeps runs bit-identical
                 if l == 0:
                     continue
-                if l > 0:
-                    El, phase = E_pos[l - 1], np.conj(rows[l - 1])
-                else:
-                    El, phase = np.conj(E_pos[-l - 1]), rows[-l - 1]
-                k_lo = max(0, l - K)
-                k_hi = min(K, K + l)
-                block = W[K + k_lo - l : K + k_hi - l + 1]
-                out[K + k_lo : K + k_hi + 1] -= El * phase * block
+                n = K + 1 + min(l, 0)  # rows k = 0..n-1 keep |k - l| <= K
+                out[:n] -= np.multiply(C[K + l], W[K - l : K - l + n], out=prod[:n])
 
-        out[:K] = np.conj(out[:K:-1])  # negative modes mirror the positive ones
+    def rhs(self, data: np.ndarray, t: float) -> np.ndarray:
+        """Full time derivative at t; rows k < 0 are exact conjugate mirrors."""
+        K = self.K
+        out = np.empty(data.shape, dtype=np.complex128)
+        self._stage(data[K:], t, phase_rows(t, self.v, K), out[K:])
+        np.conjugate(out[:K:-1], out=out[:K])
         return out
 
-    def max_field(self, data: np.ndarray, t: float) -> float:
-        rho_pos = self.density_pos(data, self.pos_rows(t))
-        if rho_pos.size == 0:
-            return 0.0
-        return float(np.max(np.abs(rho_pos) / self._ks_pos))
-
-    def check_stability(self, data: np.ndarray, t: float, dt: float) -> None:
-        if not (self.linear_term or self.quadratic_term):
-            return
-        emax = self.max_field(data, t)
-        bound = dt * self.K * (1.0 + t) * emax
-        if bound >= 0.5:
-            suggestion = 0.5 / (self.K * (1.0 + t) * emax)
-            raise StabilityError(
-                f"dt = {dt:g} violates dt*k_max*(1+t)*max|E| < 0.5 at t = {t:g}; "
-                f"use dt < {suggestion:.3e}"
-            )
-
-    def rk4(self, data: np.ndarray, t: float, dt: float) -> np.ndarray:
-        k1 = self.rhs(data, t)
-        k2 = self.rhs(data + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = self.rhs(data + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = self.rhs(data + dt * k3, t + dt)
-        return data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rk4(self, data: np.ndarray, t: float, dt: float) -> None:
+        """One stability-checked classical step of rows k >= 0 in place, then the mirror."""
+        K = self.K
+        h = data[K:]
+        acc, y, k = self._acc, self._y, self._k  # acc sums k1 + 2 k2 + 2 k3 + k4 in order
+        self._stage(h, t, phase_rows(t, self.v, K), acc, dt)
+        np.add(h, np.multiply(acc, 0.5 * dt, out=y), out=y)
+        mid = phase_rows(t + 0.5 * dt, self.v, K)  # shared by k2 and k3
+        self._stage(y, t + 0.5 * dt, mid, k)
+        np.add(h, np.multiply(k, 0.5 * dt, out=y), out=y)
+        acc += np.multiply(k, 2.0, out=k)
+        self._stage(y, t + 0.5 * dt, mid, k)
+        np.add(h, np.multiply(k, dt, out=y), out=y)
+        acc += np.multiply(k, 2.0, out=k)
+        self._stage(y, t + dt, phase_rows(t + dt, self.v, K), k)
+        acc += k
+        h += np.multiply(acc, dt / 6.0, out=acc)
+        np.conjugate(data[:K:-1], out=data[:K])
 
 
 def _symmetrize(data: np.ndarray) -> float:
@@ -223,10 +226,12 @@ def _symmetrize(data: np.ndarray) -> float:
 
 def step(state: SpectralState, eq: Equilibrium, dt: float, *, linear_term: bool = True,
          quadratic_term: bool = True) -> SpectralState:
-    """One classical 4-stage step from state.t, reality re-enforced."""
-    eng = _Engine(state.grid, eq, linear_term, quadratic_term)
-    eng.check_stability(state.data, state.t, dt)
-    data = eng.rk4(state.data, state.t, dt)
+    """One classical 4-stage step from state.t; a non-real state is refused, not mirrored."""
+    err = state.reality_error()
+    if err > 1e-12:
+        raise ValueError(f"state.reality_error() = {err:.3e} exceeds 1e-12; need g_-k = conj(g_k)")
+    data = state.data.astype(np.complex128)
+    _Engine(state.grid, eq, linear_term, quadratic_term).rk4(data, state.t, dt)
     _symmetrize(data)
     return SpectralState(state.grid, data, state.t + dt)
 
@@ -257,25 +262,24 @@ def run(config: RunConfig) -> RunOutput:
 
     def record(n: int, t: float, drift: float):
         i = rec_set[n]
-        rho_pos = eng.density_pos(data, eng.pos_rows(t))
+        rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], phase_rows(t, eng.v, K))
         trace_vals[:, i] = rho_pos
         mass[i] = abs(eng.dv * np.sum(data[K]))
         l2[i] = eng.dv * float(np.sum(np.abs(data) ** 2))
         reality[i] = drift
-        emax = float(np.max(np.abs(rho_pos) / eng._ks_pos)) if K else 0.0
+        emax = float(np.max(np.abs(rho_pos) / eng._ks))
         edge = eng.dv * float(np.sum(np.abs(data[0]) ** 2) + np.sum(np.abs(data[-1]) ** 2))
         dealias[i] = emax * math.sqrt(edge)
 
-    drift_max = 0.0
-    pending_drift = 0.0
+    drift_max = pending_drift = 0.0
     record(0, 0.0, 0.0)
     if config.snapshot_stride > 0:
         snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
     for n in range(1, N + 1):
-        t_prev = (n - 1) * dt
-        eng.check_stability(data, t_prev, dt)
-        data = eng.rk4(data, t_prev, dt)
-        d = _symmetrize(data)
+        eng.rk4(data, (n - 1) * dt, dt)
+        # rows k != 0 are exact mirrors, so _symmetrize would only clear Im g_0
+        d = float(np.max(np.abs(data[K].imag)))
+        data[K].imag = 0.0
         drift_max = max(drift_max, d)
         pending_drift = max(pending_drift, d)
         if n in rec_set:

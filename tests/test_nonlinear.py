@@ -18,7 +18,7 @@ from vpdamp.nonlinear import (
     run,
     step,
 )
-from vpdamp.spectral import Grid
+from vpdamp.spectral import Grid, phase_rows
 
 # Dominant dispersion zero of two_stream(3) at k = 1 (damped on the unit
 # torus), frozen from the Newton root finder cross-checked by quadrature.
@@ -178,6 +178,14 @@ class TestTimeStepper:
         with pytest.raises(StabilityError, match="use dt <"):
             run(cfg)
 
+    def test_step_refuses_non_real_state(self):
+        st = initial_state(GRID, EQ, ((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
+        assert step(st, EQ, 1e-2).t == pytest.approx(1e-2)
+        bad = st.copy()
+        bad.data[GRID.mode_index(-1)] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"reality_error\(\)"):
+            step(bad, EQ, 1e-2)
+
     def test_threads_do_not_change_bits(self):
         base = dict(eq=EQ, grid=GRID, dt=1e-3, t_final=2.0,
                     modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
@@ -201,9 +209,9 @@ class TestRhsOracle:
         t = 0.5
         eng = _Engine(g, EQ, True, True)
         rhs = eng.rhs(state.data, t)
-        rows = eng.pos_rows(t)
-        E_pos = eng.density_pos(state.data, rows) / (1j * np.arange(1, g.k_max + 1))
         K = g.k_max
+        rho_pos = g.dv * np.einsum("kj,kj->k", state.data[K + 1:], phase_rows(t, g.v, K))
+        E_pos = rho_pos / (1j * np.arange(1, K + 1))
         E = np.zeros(2 * K + 1, dtype=complex)
         E[K + 1:] = E_pos
         E[:K] = np.conj(E_pos[::-1])
@@ -224,6 +232,65 @@ class TestRhsOracle:
             want *= -1j * (etas - k * t)
             scale = max(float(np.max(np.abs(got))), 1e-16)
             assert np.max(np.abs(got - want)) < 1e-10 * scale
+
+
+def full_row_rhs(data, t, g, eq):
+    """Reference rhs: every row m = -K..K transformed and convolved, then mirrored."""
+    K = g.k_max
+    ms = np.arange(-K, K + 1)
+    up = np.exp(1j * t * np.outer(ms, g.v))  # e^{i m v t}
+    E = np.zeros(2 * K + 1, dtype=complex)
+    E[K + 1:] = g.dv * np.sum(data[K + 1:] * np.conj(up[K + 1:]), axis=1) / (1j * ms[K + 1:])
+    E[:K] = np.conj(E[:K:-1])
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.N_v, d=g.dv)
+    xi[g.N_v // 2] = 0.0
+    W = np.fft.ifft(1j * xi * np.fft.fft(data, axis=-1), axis=-1) - 1j * t * ms[:, None] * data
+    out = -(E[:, None] * up) * eq.mu_prime(g.v)
+    for k in ms:
+        for l in ms:
+            if l != 0 and abs(k - l) <= K:
+                out[K + k] -= E[K + l] * up[K + l] * W[K + k - l]
+    out[:K] = np.conj(out[:K:-1])
+    return out
+
+
+class TestHalfModeStepper:
+    """The k >= 0 stepper against a full-row RK4 with reality re-enforced per step."""
+
+    CFG = RunConfig(eq=EQ, grid=Grid(k_max=3, V=8.0, N_v=512), dt=1e-3, t_final=2e-2,
+                    modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
+
+    @pytest.fixture(scope="class")
+    def out(self):
+        return run(self.CFG)
+
+    def test_run_matches_full_row_reference(self, out):
+        cfg, g = self.CFG, self.CFG.grid
+        data = initial_state(g, EQ, cfg.modes).data
+        dt = cfg.dt
+        for n in range(cfg.n_steps):
+            t = n * dt
+            k1 = full_row_rhs(data, t, g, EQ)
+            k2 = full_row_rhs(data + 0.5 * dt * k1, t + 0.5 * dt, g, EQ)
+            k3 = full_row_rhs(data + 0.5 * dt * k2, t + 0.5 * dt, g, EQ)
+            k4 = full_row_rhs(data + dt * k3, t + dt, g, EQ)
+            data = data + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            data = 0.5 * (data + np.conj(data[::-1]))
+        got = out.final_state.data
+        assert np.max(np.abs(got - data)) <= 1e-13 * np.max(np.abs(data))
+
+    def test_rhs_matches_reference_with_exact_mirror(self, out):
+        from vpdamp.nonlinear import _Engine
+
+        g, K = self.CFG.grid, self.CFG.grid.k_max
+        state = out.final_state
+        got = _Engine(g, EQ, True, True).rhs(state.data, state.t)
+        assert np.array_equal(got[:K], np.conj(got[:K:-1]))
+        want = full_row_rhs(state.data, state.t, g, EQ)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_reality_drift_stays_at_rounding(self, out):
+        assert out.reality_drift_max < 1e-12
 
 
 class TestConservation:
