@@ -196,8 +196,12 @@ class _Engine:
         np.conjugate(out[:K:-1], out=out[:K])
         return out
 
-    def rk4(self, data: np.ndarray, t: float, dt: float) -> None:
-        """One stability-checked classical step of rows k >= 0 in place, then the mirror."""
+    def rk4(self, data: np.ndarray, t: float, dt: float) -> float:
+        """One stability-checked classical step of rows k >= 0 in place, then the mirror.
+
+        Rows k != 0 leave as exact mirrors, so re-enforcing reality only clears
+        Im g_0; its size before clearing is returned as the step's reality drift.
+        """
         K = self.K
         h = data[K:]
         acc, y, k = self._acc, self._y, self._k  # acc sums k1 + 2 k2 + 2 k3 + k4 in order
@@ -214,14 +218,9 @@ class _Engine:
         acc += k
         h += np.multiply(acc, dt / 6.0, out=acc)
         np.conjugate(data[:K:-1], out=data[:K])
-
-
-def _symmetrize(data: np.ndarray) -> float:
-    flipped = np.conj(data[::-1])
-    drift = 0.5 * float(np.max(np.abs(data - flipped)))
-    data += flipped
-    data *= 0.5
-    return drift
+        drift = float(np.max(np.abs(h[0].imag)))
+        h[0].imag = 0.0
+        return drift
 
 
 def step(state: SpectralState, eq: Equilibrium, dt: float, *, linear_term: bool = True,
@@ -232,7 +231,6 @@ def step(state: SpectralState, eq: Equilibrium, dt: float, *, linear_term: bool 
         raise ValueError(f"state.reality_error() = {err:.3e} exceeds 1e-12; need g_-k = conj(g_k)")
     data = state.data.astype(np.complex128)
     _Engine(state.grid, eq, linear_term, quadratic_term).rk4(data, state.t, dt)
-    _symmetrize(data)
     return SpectralState(state.grid, data, state.t + dt)
 
 
@@ -276,10 +274,7 @@ def run(config: RunConfig) -> RunOutput:
     if config.snapshot_stride > 0:
         snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
     for n in range(1, N + 1):
-        eng.rk4(data, (n - 1) * dt, dt)
-        # rows k != 0 are exact mirrors, so _symmetrize would only clear Im g_0
-        d = float(np.max(np.abs(data[K].imag)))
-        data[K].imag = 0.0
+        d = eng.rk4(data, (n - 1) * dt, dt)
         drift_max = max(drift_max, d)
         pending_drift = max(pending_drift, d)
         if n in rec_set:
