@@ -24,6 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .spectral import phase_sum
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -268,9 +270,4 @@ def _transform_by_quadrature(eq: Equilibrium, eta: np.ndarray) -> np.ndarray:
     f = (1.0 + v**2) * np.asarray(eq.mu(v), dtype=float)
     f[0] *= 0.5
     f[-1] *= 0.5
-    out = np.empty(eta.shape, dtype=complex)
-    block = 512
-    for s in range(0, eta.size, block):
-        e = eta[s : s + block]
-        out[s : s + block] = np.exp(-1j * np.outer(e, v)) @ f
-    return out * dv
+    return phase_sum(-1j * eta, v, f) * dv

@@ -14,12 +14,15 @@ Contour note: the Laplace-domain kernel -L/(1+L) only decays like
 truncation for 1e-8 accuracy.  The first two Laurent terms are known in
 closed time-domain form (-L gives -t mu_hat(kt), L^2 gives the kernel
 autoconvolution), so only the remainder -L^3/(1+L), decaying like
-|lambda|^{-6}, is integrated numerically.
+|lambda|^{-6}, is integrated numerically.  On a uniform time grid the
+contour trapezoid is a chirp-z transform and the convolution with the
+source an FFT product, so the kernel route costs O(N log N) per mode.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .penrose import strip_width
-from .spectral import SpectralState, oscillatory_moment, phase_sum
+from .spectral import SpectralState, chirp_sum, fft_convolve, oscillatory_moment
 
 TRACE_FLOOR = 1e-14
 
@@ -157,19 +160,20 @@ class ResolventKernel:
     theta_fit: float
 
 
-_strip_cache: dict = {}  # (id(eq), name) -> (eq, strip width)
+_strip_cache: dict = {}  # id(eq) -> (weak reference to eq, strip width)
 
 
 def _certified_strip(eq: Equilibrium) -> float:
-    """strip_width(eq), computed once per Equilibrium object.
+    """strip_width(eq), computed once per live Equilibrium object.
 
-    The entry keeps its equilibrium and is served only to that object, so a
-    new equilibrium that reuses a freed one's id gets its own strip.
+    An entry is served only to the object it refers to, and is dropped when
+    that object is collected, so the cache holds only live equilibria and a
+    new one that reuses a freed id gets its own strip.
     """
-    key = (id(eq), eq.name)
-    entry = _strip_cache.get(key)
-    if entry is None or entry[0] is not eq:
-        entry = _strip_cache[key] = (eq, strip_width(eq))
+    entry = _strip_cache.get(id(eq))
+    if entry is None or entry[0]() is not eq:
+        entry = _strip_cache[id(eq)] = (weakref.ref(eq), strip_width(eq))
+        weakref.finalize(eq, _strip_cache.pop, id(eq), None)
     return entry[1]
 
 
@@ -194,13 +198,17 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
 
     K(t) = -kappa(t) + (kappa * kappa)(t) + contour integral of
     -L^3/(1+L) along Re lambda = -theta_hat1 |k| (trapezoid, n_quad
-    nodes on [0, Omega], doubled by conjugate symmetry).  Refuses an
-    abscissa beyond the certified zero-free strip and a truncation Omega
-    whose measured tail exceeds the 1e-8 budget.
+    nodes on [0, Omega], doubled by conjugate symmetry), summed over the
+    uniform times t_0 + n h by one Bluestein chirp-z FFT convolution.
+    Refuses a non-uniform time grid, an abscissa beyond the certified
+    zero-free strip and an Omega whose measured tail exceeds 1e-8.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or np.max(
+            np.abs(times - np.linspace(times[0], times[-1], times.size))) > 1e-12:
+        raise ValueError(f"times must be a uniform grid t_0 + n h, got {times}")
     strip = _certified_strip(eq)
     if theta_hat1 > strip + 1e-12:
         raise ValueError(
@@ -210,7 +218,6 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
         raise ValueError("need theta_hat1 > 0, Omega > 0, n_quad >= 2")
 
     a = theta_hat1 * abs(k)
-    ak = abs(k)
 
     # exact first terms
     kappa_t = times * np.asarray(eq.mu_hat(k * times), dtype=float)
@@ -231,10 +238,10 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
     w = np.full(n_quad, Omega / (n_quad - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    remainder = phase_sum(times, lam, G * w).real / math.pi  # phases e^{lambda t}
+    remainder = chirp_sum(times, lam, G * w).real / math.pi  # phases e^{lambda t}
 
     values = -kappa_t + auto + remainder
-    C_fit, theta_fit = _fit_kernel_envelope(ak, times, values)
+    C_fit, theta_fit = _fit_kernel_envelope(abs(k), times, values)
     return ResolventKernel(
         k=k, times=times, values=values.astype(complex), theta_hat1=theta_hat1,
         Omega=Omega, n_quad=n_quad, C_fit=C_fit, theta_fit=theta_fit,
@@ -313,7 +320,8 @@ def solve_via_kernel(source_values, kernel: ResolventKernel,
 
     source_values may be a DensityTrace-like object carrying (times,
     values) for the source, or a plain array with `times` supplied; the
-    grids must match the kernel's exactly.
+    grids must match the kernel's uniform grid.  The convolution is one
+    zero-padded FFT product, O(N log N).
     """
     if hasattr(source_values, "values") and hasattr(source_values, "times"):
         S = np.asarray(source_values.values, dtype=complex)
@@ -325,7 +333,7 @@ def solve_via_kernel(source_values, kernel: ResolventKernel,
         raise ValueError("source and kernel must share one time grid")
     dt = float(t[1] - t[0])
     K = np.asarray(kernel.values, dtype=complex)
-    full = np.convolve(K, S)[: t.size]
+    full = fft_convolve(K, S, t.size)
     conv = dt * (full - 0.5 * K * S[0] - 0.5 * K[0] * S)
     return DensityTrace(k=k if k is not None else kernel.k, times=t, values=S + conv)
 

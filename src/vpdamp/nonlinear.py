@@ -196,25 +196,27 @@ class _Engine:
         np.conjugate(out[:K:-1], out=out[:K])
         return out
 
-    def rk4(self, data: np.ndarray, t: float, dt: float) -> float:
+    def rk4(self, data: np.ndarray, t: float, dt: float, rows=None) -> float:
         """One stability-checked classical step of rows k >= 0 in place, then the mirror.
 
-        Rows k != 0 leave as exact mirrors, so re-enforcing reality only clears
-        Im g_0; its size before clearing is returned as the step's reality drift.
+        rows, phase_rows at t if given, is the buffer every stage's rows are built
+        in.  Rows k != 0 leave as exact mirrors, so clearing Im g_0 re-enforces
+        reality; its size before clearing is returned as the step's drift.
         """
         K = self.K
         h = data[K:]
         acc, y, k = self._acc, self._y, self._k  # acc sums k1 + 2 k2 + 2 k3 + k4 in order
-        self._stage(h, t, phase_rows(t, self.v, K), acc, dt)
+        rows = phase_rows(t, self.v, K) if rows is None else rows
+        self._stage(h, t, rows, acc, dt)
         np.add(h, np.multiply(acc, 0.5 * dt, out=y), out=y)
-        mid = phase_rows(t + 0.5 * dt, self.v, K)  # shared by k2 and k3
-        self._stage(y, t + 0.5 * dt, mid, k)
+        phase_rows(t + 0.5 * dt, self.v, K, rows)  # shared by k2 and k3
+        self._stage(y, t + 0.5 * dt, rows, k)
         np.add(h, np.multiply(k, 0.5 * dt, out=y), out=y)
         acc += np.multiply(k, 2.0, out=k)
-        self._stage(y, t + 0.5 * dt, mid, k)
+        self._stage(y, t + 0.5 * dt, rows, k)
         np.add(h, np.multiply(k, dt, out=y), out=y)
         acc += np.multiply(k, 2.0, out=k)
-        self._stage(y, t + dt, phase_rows(t + dt, self.v, K), k)
+        self._stage(y, t + dt, phase_rows(t + dt, self.v, K, rows), k)
         acc += k
         h += np.multiply(acc, dt / 6.0, out=acc)
         np.conjugate(data[:K:-1], out=data[:K])
@@ -258,9 +260,10 @@ def run(config: RunConfig) -> RunOutput:
 
     snapshots: list = []
 
-    def record(n: int, t: float, drift: float):
+    def record(n: int, t: float, drift: float) -> np.ndarray:  # returns the rows at t
         i = rec_set[n]
-        rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], phase_rows(t, eng.v, K))
+        rows = phase_rows(t, eng.v, K)
+        rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], rows)
         trace_vals[:, i] = rho_pos
         mass[i] = abs(eng.dv * np.sum(data[K]))
         l2[i] = eng.dv * float(np.sum(np.abs(data) ** 2))
@@ -268,21 +271,24 @@ def run(config: RunConfig) -> RunOutput:
         emax = float(np.max(np.abs(rho_pos) / eng._ks))
         edge = eng.dv * float(np.sum(np.abs(data[0]) ** 2) + np.sum(np.abs(data[-1]) ** 2))
         dealias[i] = emax * math.sqrt(edge)
+        return rows
 
     drift_max = pending_drift = 0.0
-    record(0, 0.0, 0.0)
     if config.snapshot_stride > 0:
         snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
+    rows = record(0, 0.0, 0.0)
     for n in range(1, N + 1):
-        d = eng.rk4(data, (n - 1) * dt, dt)
+        d = eng.rk4(data, (n - 1) * dt, dt, rows)
+        rows = None
         drift_max = max(drift_max, d)
         pending_drift = max(pending_drift, d)
-        if n in rec_set:
-            record(n, n * dt, pending_drift)
-            pending_drift = 0.0
         if config.snapshot_stride > 0 and n % config.snapshot_stride == 0:
             snapshots.append(Snapshot(n * dt, data.astype(np.complex64)))
+        if n in rec_set:  # after the snapshot: its rows then live only into the next step
+            rows = record(n, n * dt, pending_drift)
+            pending_drift = 0.0
 
+    del rows  # the last record's rows feed no step; free them before the copy below
     if not snapshots or snapshots[-1].t != N * dt:
         snapshots.append(Snapshot(N * dt, data.astype(np.complex64)))
     final = SpectralState(g, data.copy(), N * dt)

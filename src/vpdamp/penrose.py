@@ -92,27 +92,6 @@ def _cutoff(eq: Equilibrium, k: int, rho: float) -> float:
     )
 
 
-def _quad_nodes(eq: Equilibrium, k: int, lam_arr: np.ndarray, extra: float = 0.0):
-    """Composite Gauss-Legendre nodes and weights on [0, T] for a lambda batch.
-
-    T comes from the certified envelope tail; panel width shrinks with
-    the largest |Im lambda| (oscillation) and |Re lambda| (boundary
-    layer) in the batch so 32 nodes per panel stay spectrally accurate.
-    """
-    rho = float(np.max(-lam_arr.real))
-    T = _cutoff(eq, k, rho) + extra
-    omega_max = float(np.max(np.abs(lam_arr.imag)))
-    re_max = float(np.max(np.abs(lam_arr.real)))
-    width = min(1.0, 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
-    n_panels = int(math.ceil(T / width))
-    edges = np.linspace(0.0, T, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
 def laplace_symbol(eq: Equilibrium, k: int, lam):
     """Laplace transform of t mu_hat(k t) at lambda (scalar or array).
 
@@ -122,26 +101,29 @@ def laplace_symbol(eq: Equilibrium, k: int, lam):
     super-exponential envelope the symbol is entire and any lambda is
     accepted.
     """
-    if k == 0:
-        raise ValueError("k must be a nonzero integer")
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    nodes, weights = _quad_nodes(eq, k, lam_arr)
-    f = weights * nodes * np.asarray(eq.mu_hat(k * nodes), dtype=float)
-    out = phase_sum(-lam_arr, nodes, f)
-    return complex(out[0]) if np.ndim(lam) == 0 else out
+    return _moment_transform(eq, k, lam, 1, 0.0)
 
 
-def _symbol_derivative(eq: Equilibrium, k: int, lam):
-    """d/dlambda of laplace_symbol: transform of -t^2 mu_hat(k t).
+def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
+    """Laplace transform of t^power mu_hat(k t) by composite Gauss-Legendre on [0, T].
 
-    Differentiation under the integral; the integrand stays analytic in
-    lambda, and the extra factor t costs two units of cutoff slack.
+    T is the batch's certified envelope cutoff plus `extra` (power 2 with slack 2
+    is -d/dlambda of laplace_symbol); panels narrow with the largest |Im lambda|
+    and |Re lambda| in the batch so 32 nodes per panel stay spectrally accurate.
     """
     if k == 0:
         raise ValueError("k must be a nonzero integer")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    nodes, weights = _quad_nodes(eq, k, lam_arr, extra=2.0)
-    f = -weights * nodes**2 * np.asarray(eq.mu_hat(k * nodes), dtype=float)
+    T = _cutoff(eq, k, float(np.max(-lam_arr.real))) + extra
+    omega_max = float(np.max(np.abs(lam_arr.imag)))
+    re_max = float(np.max(np.abs(lam_arr.real)))
+    width = min(1.0, 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
+    edges = np.linspace(0.0, T, int(math.ceil(T / width)) + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    f = weights * nodes**power * np.asarray(eq.mu_hat(k * nodes), dtype=float)
     out = phase_sum(-lam_arr, nodes, f)
     return complex(out[0]) if np.ndim(lam) == 0 else out
 
@@ -359,7 +341,7 @@ def find_root(eq: Equilibrium, k: int, seed: complex):
         d = dispersion(eq, k, lam)
         if abs(d) < ROOT_RESIDUAL_TOL:
             return lam, abs(d)
-        dp = _symbol_derivative(eq, k, lam)
+        dp = -_moment_transform(eq, k, lam, 2, 2.0)
         if abs(dp) < 1e-14:
             raise RootConvergenceError(
                 f"vanishing dispersion derivative at {lam:.6g} (k={k}); "

@@ -1,6 +1,7 @@
 """Tests for the linearized density evolution module."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from vpdamp.linear import (
     source_from_initial,
     volterra_solve,
 )
-from vpdamp.spectral import Grid, SpectralState
+from vpdamp.spectral import Grid, SpectralState, chirp_sum, phase_sum
 
 # Dominant Landau root of the gaussian background at k = 1, frozen from an
 # independent trapezoid-quadrature Newton oracle.
@@ -157,6 +158,40 @@ class TestKernel:
             eq = dataclasses.replace(gaussian(), theta0=1.0 - 0.03 * i)
             assert linear._certified_strip(eq) == 0.5 * eq.theta0
 
+    def test_strip_cache_drops_collected_equilibria(self, monkeypatch):
+        monkeypatch.setattr(linear, "_strip_cache", {})
+        monkeypatch.setattr(linear, "strip_width", lambda eq: 0.5 * eq.theta0)
+        for i in range(50):
+            linear._certified_strip(dataclasses.replace(gaussian(), theta0=1.0 - 0.01 * i))
+        gc.collect()
+        assert len(linear._strip_cache) <= 2
+
+    @pytest.mark.parametrize("times", [np.array([0.0, 0.1, 0.3]), np.linspace(0, 1, 11) ** 2,
+                                       np.zeros((2, 3)), np.array([])])
+    def test_non_uniform_grid_refused(self, times):
+        th, Om, nq = contour_parameters(EQ, 1, 1.0)
+        with pytest.raises(ValueError, match="grid"):
+            resolvent_kernel(EQ, 1, th, Om, nq, times)
+
+    def test_one_sample_and_shifted_grids(self):
+        th, Om, nq = contour_parameters(EQ, 1, 2.0)
+        full = resolvent_kernel(EQ, 1, th, Om, nq, 0.01 * np.arange(201)).values
+        shifted = resolvent_kernel(EQ, 1, th, Om, nq, 0.5 + 0.01 * np.arange(151)).values
+        one = resolvent_kernel(EQ, 1, th, Om, nq, np.array([1.3])).values
+        assert np.max(np.abs(shifted - full[50:])) < 1e-13
+        assert abs(one[0] - full[130]) < 1e-13
+
+    @pytest.mark.parametrize("N, M, t0", [(7, 40, 0.0), (300, 41, 0.0), (300, 41, 1.7),
+                                          (5, 3, -2.5), (1, 9, 0.4), (64, 2, 3.0),
+                                          (20001, 20, 0.0)])  # chirp phases reach 2e4 rad
+    def test_chirp_sum_matches_phase_sum(self, N, M, t0):
+        rng = np.random.default_rng(N + M)
+        times = t0 + 4.0 / max(N - 1, 1) * np.arange(N)
+        lam = -0.3 + 0.2j + 1j * np.linspace(0.0, 9.0, M)
+        w = rng.normal(size=M) + 1j * rng.normal(size=M)
+        ref = phase_sum(times, lam, w)
+        assert np.max(np.abs(chirp_sum(times, lam, w) - ref)) < 1e-13 * np.max(np.abs(ref))
+
     def test_omega_tail_refused(self):
         with pytest.raises(ValueError, match="tail"):
             resolvent_kernel(EQ, 1, 0.25, 5.0, 64, np.linspace(0, 1, 11))
@@ -214,6 +249,17 @@ class TestKernelRoute:
         S = np.asarray(hat0(1, times), complex)
         trb = solve_via_kernel(DensityTrace(k=1, times=times, values=S), ker)
         assert np.max(np.abs(tra.values - trb.values)) < 1e-6
+
+    def test_fft_convolution_matches_direct_sum(self):
+        times = 2e-3 * np.arange(2001)
+        hat0, _ = single_mode_source()
+        th, Om, nq = contour_parameters(EQ, 1, 4.0)
+        ker = resolvent_kernel(EQ, 1, th, Om, nq, times)
+        S = np.asarray(hat0(1, times), complex)
+        K = ker.values
+        ref = S + 2e-3 * (np.convolve(K, S)[: times.size] - 0.5 * K * S[0] - 0.5 * K[0] * S)
+        got = solve_via_kernel(DensityTrace(k=1, times=times, values=S), ker).values
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(S))
 
     def test_grid_mismatch_rejected(self):
         t = 1e-2 * np.arange(101)
