@@ -7,16 +7,19 @@ directly with a product-trapezoid rule; `resolvent_kernel` inverts the
 Laplace-domain solution along a vertical contour inside the certified
 zero-free strip and `solve_via_kernel` convolves the result with the
 source.  The two routes share nothing numerically past the closed-form
-mu_hat, which is what makes their agreement a meaningful check.
+mu_hat, which is what makes their agreement a meaningful check.  The
+march solves its discrete system by divide and conquer with FFT history
+sums, O(N log^2 N) per mode.
 
 Contour note: the Laplace-domain kernel -L/(1+L) only decays like
 |lambda|^{-2} along vertical lines, which would need an absurd
 truncation for 1e-8 accuracy.  The first two Laurent terms are known in
 closed time-domain form (-L gives -t mu_hat(kt), L^2 gives the kernel
-autoconvolution), so only the remainder -L^3/(1+L), decaying like
-|lambda|^{-6}, is integrated numerically.  On a uniform time grid the
-contour trapezoid is a chirp-z transform and the convolution with the
-source an FFT product, so the kernel route costs O(N log N) per mode.
+autoconvolution, one FFT with Gregory end corrections), so only the
+remainder -L^3/(1+L), decaying like |lambda|^{-6}, is integrated
+numerically.  On a uniform time grid the contour trapezoid is a chirp-z
+transform and the convolution with the source an FFT product, so the
+kernel route costs O(N log N) per mode.
 """
 
 from __future__ import annotations
@@ -24,15 +27,23 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .equilibria import Equilibrium
-from .penrose import strip_width
-from .spectral import SpectralState, chirp_sum, fft_convolve, oscillatory_moment
+from .penrose import laplace_symbol, strip_width
+from .spectral import (SpectralState, chirp_sum, fft_convolve, oscillatory_moment,
+                       trapezoid_convolve)
 
 TRACE_FLOOR = 1e-14
+EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
+VOLTERRA_BLOCK = 128  # volterra_solve marches blocks this short directly
+H_AUTO = 4e-3  # largest |k|-scaled sample spacing of the kernel autoconvolution
+# Order-8 Gregory end corrections c_i of sum_j f_j + sum_{i<8} c_i (f_i + f_{m-i}): by
+# Euler-Maclaurin, sum_i c_i i^d is -1/2 at d = 0, B_{d+1}/(d+1) at odd d, 0 at other d < 8.
+GREGORY_WEIGHTS = np.linalg.solve(np.vander(np.arange(8.0), increasing=True).T,
+                                  [-1 / 2, 1 / 12, 0, -1 / 120, 0, 1 / 252, 0, -1 / 240])
 
 
 @dataclass(frozen=True)
@@ -109,25 +120,44 @@ def _time_grid(dt: float, T: float) -> np.ndarray:
 
 
 def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> DensityTrace:
-    """March the density equation rho + kernel * rho = S with product trapezoid.
+    """Solve the density equation rho + kernel * rho = S with product trapezoid.
 
     The memory kernel kappa(tau) = tau mu_hat(k tau) is evaluated in
     closed form on the grid; history weights are trapezoidal.  Since
-    kappa(0) = 0 the update is explicit:
+    kappa(0) = 0 the discrete system is explicit:
     rho_n = S_n - dt [ kappa_n rho_0 / 2 + sum_{m=1}^{n-1} kappa_{n-m} rho_m ].
-    Global accuracy O(dt^2).
+    Global accuracy O(dt^2).  Divide and conquer (Hairer, Lubich &
+    Schlichte 1985) solves it in O(N log^2 N): see _solve_block.  The
+    history sums carry e^{sigma t}, sigma = min(1, theta0 |k|) (a bounded
+    weighted kernel) with sigma T <= EXP_CAP.
     """
     times = _time_grid(dt, T)
     kappa = times * np.asarray(eq.mu_hat(k * times), dtype=float)
-    S = _source_samples(source, k, times)
-    rho = np.zeros(times.size, dtype=complex)
-    rho[0] = S[0]
-    for n in range(1, times.size):
-        acc = 0.5 * kappa[n] * rho[0]
-        if n > 1:
-            acc += np.dot(kappa[n - 1 : 0 : -1], rho[1:n])
-        rho[n] = S[n] - dt * acc
+    rho = np.array(_source_samples(source, k, times), dtype=complex)
+    rho[1:] -= 0.5 * dt * kappa[1:] * rho[0]
+    weight = np.exp(min(1.0, eq.theta0 * abs(k), EXP_CAP / max(T, dt)) * times)
+    _solve_block(kappa, rho, dt, weight, 1, times.size)
     return DensityTrace(k=k, times=times, values=rho)
+
+
+def _solve_block(kappa, rho, dt, weight, lo, hi):
+    """Turn rho[lo:hi], sources holding all history before lo, into the solution.
+
+    Solve the first half, add its history into the second half with one
+    FFT convolution, recurse; march directly up to VOLTERRA_BLOCK samples.
+    As w_{m-lo} w_{n-m} = w_{n-lo} for w_j = e^{sigma t_j}, convolving the
+    weighted factors and dividing by w_{n-lo} gives the same sums, with
+    the FFT's round-off shrinking with the decaying solution.
+    """
+    if hi - lo <= VOLTERRA_BLOCK:
+        for n in range(lo, hi):
+            rho[n] -= dt * np.dot(kappa[n - lo : 0 : -1], rho[lo:n])
+        return
+    mid, span = (lo + hi) // 2, hi - lo
+    _solve_block(kappa, rho, dt, weight, lo, mid)
+    hist = fft_convolve(rho[lo:mid] * weight[: mid - lo], kappa[:span] * weight[:span], span)
+    rho[mid:hi] -= dt * hist[mid - lo :] / weight[mid - lo : span]
+    _solve_block(kappa, rho, dt, weight, mid, hi)
 
 
 def _source_samples(source, k: int, times: np.ndarray) -> np.ndarray:
@@ -221,13 +251,11 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
 
     # exact first terms
     kappa_t = times * np.asarray(eq.mu_hat(k * times), dtype=float)
-    auto = _kernel_autoconvolution(eq, k, times)
+    auto = _kernel_autoconvolution(eq, k, times, 2.0 * a)
 
     # contour remainder
     omega = np.linspace(0.0, Omega, n_quad)
     lam = -a + 1j * omega
-    from .penrose import laplace_symbol
-
     L = laplace_symbol(eq, k, lam)
     G = -(L**3) / (1.0 + L)
     tail = np.abs(G[-1]) * Omega / 5.0  # integrand falls like omega^{-6}
@@ -248,34 +276,46 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
     )
 
 
-def _kernel_autoconvolution(eq: Equilibrium, k: int, times: np.ndarray) -> np.ndarray:
-    """(kappa * kappa)(t) with kappa(s) = s mu_hat(k s), by scaled Gauss panels.
+def _kernel_autoconvolution(eq: Equilibrium, k: int, times: np.ndarray,
+                            rate: float) -> np.ndarray:
+    """(kappa * kappa)(t) with kappa(s) = s mu_hat(k s), by an FFT Gregory rule.
 
-    Symmetry about s = t/2 halves the work: the integral is twice the
-    [0, t/2] part.  40 panels of 16 nodes on the unit interval, scaled
-    per t, keep the worst panel width below 0.25 for t <= 20.
+    kappa is sampled from s = 0 with spacing h/r <= H_AUTO/|k|, r a power of
+    two (so the fine grid holds every h j exactly); the accuracy does not
+    depend on the step h.  One fft_convolve gives the sums of all times and
+    the order-8 Gregory end corrections leave rounding-level errors.  The
+    samples carry e^{rate s} (rate t_max <= EXP_CAP), exact since
+    e^{rate t} (kappa * kappa)(t) is their autoconvolution, so the FFT's
+    round-off stays relative in the decaying tail.  Times below 16 spacings,
+    and every time of a one-sample grid or of a t_0 off the multiples of h,
+    get a direct Gregory sum on their own grid from 0.
     """
-    x, wq = np.polynomial.legendre.leggauss(16)
-    panels = 40
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * x[None, :]).ravel()  # nodes in (0,1)
-    wu = (half[:, None] * wq[None, :]).ravel()
-
-    out = np.empty(times.size, dtype=float)
-    block = 512
-    for sidx in range(0, times.size, block):
-        tb = times[sidx : sidx + block][:, None]
-        s = 0.5 * tb * u[None, :]
-        integrand = (
-            s
-            * np.asarray(eq.mu_hat(k * s), dtype=float)
-            * (tb - s)
-            * np.asarray(eq.mu_hat(k * (tb - s)), dtype=float)
-        )
-        out[sidx : sidx + block] = 2.0 * 0.5 * tb[:, 0] * (integrand @ wu)
+    spacing = H_AUTO / abs(k)
+    h = (times[-1] - times[0]) / (times.size - 1) if times.size > 1 else 0.0
+    first = round(times[0] / h) if h > 0 else -1
+    if first < 0 or abs(times[0] - first * h) > 1e-12 * max(1.0, times[0]):
+        return np.array([_gregory_autoconvolution(eq, k, t, spacing) for t in times])
+    r = 1 << max(0, math.ceil(math.log2(h / spacing) - 1e-9))
+    s = (h / r) * np.arange(r * (first + times.size - 1) + 1)
+    weight = np.exp(min(rate, EXP_CAP / s[-1]) * s)
+    u = weight * s * np.asarray(eq.mu_hat(k * s), dtype=float)
+    total = fft_convolve(u, u, s.size)
+    for i, w in enumerate(GREGORY_WEIGHTS[: s.size]):
+        total[i:] += 2.0 * w * u[i] * u[: s.size - i]
+    pick = r * (first + np.arange(times.size))
+    out = (h / r) * total[pick] / weight[pick]
+    for i in np.flatnonzero(pick < 16):
+        out[i] = _gregory_autoconvolution(eq, k, times[i], spacing)
     return out
+
+
+def _gregory_autoconvolution(eq: Equilibrium, k: int, t: float, spacing: float) -> float:
+    """(kappa * kappa)(t) by the Gregory rule on max(16, t / spacing) intervals of [0, t]."""
+    m = max(16, math.ceil(t / spacing))
+    s = t * np.arange(m + 1) / m
+    f = s * (t - s) * np.asarray(eq.mu_hat(k * s) * eq.mu_hat(k * (t - s)), dtype=float)
+    ends = f[: GREGORY_WEIGHTS.size] + f[: -GREGORY_WEIGHTS.size - 1 : -1]
+    return float(t / m * (np.sum(f) + GREGORY_WEIGHTS @ ends))
 
 
 def _fit_kernel_envelope(ak: int, times: np.ndarray, values: np.ndarray):
@@ -332,9 +372,7 @@ def solve_via_kernel(source_values, kernel: ResolventKernel,
     if t.shape != kernel.times.shape or np.max(np.abs(t - kernel.times)) > 1e-12:
         raise ValueError("source and kernel must share one time grid")
     dt = float(t[1] - t[0])
-    K = np.asarray(kernel.values, dtype=complex)
-    full = fft_convolve(K, S, t.size)
-    conv = dt * (full - 0.5 * K * S[0] - 0.5 * K[0] * S)
+    conv = trapezoid_convolve(np.asarray(kernel.values, dtype=complex), S, dt)
     return DensityTrace(k=k if k is not None else kernel.k, times=t, values=S + conv)
 
 

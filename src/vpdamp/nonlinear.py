@@ -24,7 +24,8 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .linear import DensityTrace, cosine_initial_hat, local_maxima
-from .spectral import Grid, SpectralState, phase_rows, phase_sum, required_nv
+from .spectral import (Grid, SpectralState, phase_rows, phase_sum, required_nv,
+                       trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
 
@@ -354,8 +355,7 @@ def closure_residual(output: RunOutput) -> float:
         if not cfg.linear_term:
             continue
         kap = times * np.asarray(mu_hat(k * times), dtype=float)
-        full = np.convolve(kap, rho[k - 1])[: N + 1]
-        volterra[k - 1] = dt * (full - 0.5 * kap * rho[k - 1][0] - 0.5 * kap[0] * rho[k - 1])
+        volterra[k - 1] = trapezoid_convolve(kap, rho[k - 1], dt)
 
     # initial-data moments S0_k(t_n), exact in v
     init = output.initial_state.data

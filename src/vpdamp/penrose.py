@@ -242,7 +242,7 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
         w = count_zeros(eq, k, (0.0, b, omega_max))
         windings.append((k, (0.0, b, omega_max), w))
         if w != 0:
-            lam, res = find_root(eq, k, _coarse_seed(eq, k, (0.0, b, 0.1, omega_max)))
+            lam, res = _dominant_root(eq, k, (0.0, b, 0.1, omega_max))
             offenders.append((k, lam, res))
     if offenders:
         k0, lam0, _ = offenders[0]
@@ -359,14 +359,33 @@ def find_root(eq: Equilibrium, k: int, seed: complex):
     )
 
 
-def _coarse_seed(eq: Equilibrium, k: int, rect) -> complex:
-    """Seed for find_root: argmin of |D| on a coarse grid over a rectangle."""
+def _dominant_root(eq: Equilibrium, k: int, rect):
+    """Dispersion zero seeded by a 48 x 48 scan of |D| over a rectangle.
+
+    rect = (re_min, re_max, im_min, im_max).  Every local minimum of |D|
+    right of Re = -(one grid step) is polished, the lowest row counting as
+    an edge open towards the real axis, and the growing root with the
+    largest Re lambda is returned, Im >= 0.  Without one, the root
+    polished from the least |D| of the scan is returned.
+    """
     a, b, i0, i1 = rect
     re = np.linspace(a, b, 48)
-    im = np.linspace(i0, i1, 48)
-    lam = (re[:, None] + 1j * im[None, :]).ravel()
-    vals = np.abs(1.0 + laplace_symbol(eq, k, lam))
-    return complex(lam[int(np.argmin(vals))])
+    lam = re[:, None] + 1j * np.linspace(i0, i1, 48)[None, :]
+    mag = np.abs(1.0 + laplace_symbol(eq, k, lam.ravel())).reshape(lam.shape)
+    pad = np.pad(mag, 1, constant_values=-np.inf)
+    pad[:, 0] = np.inf
+    near = np.minimum.reduce([pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]])
+    growing = []
+    for seed in lam[(mag <= near) & (re[:, None] >= re[0] - re[1])]:
+        try:
+            root, res = find_root(eq, k, seed)
+        except RootConvergenceError:
+            continue
+        if root.real > 0.0:
+            growing.append((complex(root.real, abs(root.imag)), res))
+    if growing:
+        return max(growing, key=lambda r: r[0].real)
+    return find_root(eq, k, lam.flat[np.argmin(mag)])
 
 
 def landau_root(eq: Equilibrium, k: int):
@@ -375,14 +394,13 @@ def landau_root(eq: Equilibrium, k: int):
     Searches the upper half of a rectangle sized from the equilibrium
     envelope: damped roots have -theta0 |k| < Re < 0 for generic
     envelopes, deeper for super-exponential ones; unstable roots sit at
-    Re > 0 and are found by the same scan.
+    Re > 0, and the one with the largest Re wins.
     """
     if eq.hat_log_envelope is not None:
         re0 = -2.95 * abs(k)
     else:
         re0 = -0.95 * eq.theta0 * abs(k)
-    seed = _coarse_seed(eq, k, (re0, 1.0, 0.2, 2.5 * abs(k) + 3.0))
-    return find_root(eq, k, seed)
+    return _dominant_root(eq, k, (re0, 1.0, 0.2, 2.5 * abs(k) + 3.0))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ to time T with modes |k| <= k_max therefore needs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,6 +287,14 @@ def chirp_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def fft_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution a * b, by one zero-padded FFT product."""
+    """First n terms of the linear convolution a * b, by one zero-padded FFT product
+    (real FFTs for real inputs: half the work and less round-off)."""
     size = 1 << (a.size + b.size - 2).bit_length()
+    if np.isrealobj(a) and np.isrealobj(b):
+        return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
+
+
+def trapezoid_convolve(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid sums dt (a * b - a b_0 / 2 - a_0 b / 2) of int_0^t a(t-s) b(s) ds, step dt."""
+    return dt * (fft_convolve(a, b, a.size) - 0.5 * a * b[0] - 0.5 * a[0] * b)

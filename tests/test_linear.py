@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vpdamp import linear
-from vpdamp.equilibria import gaussian, zero
+from vpdamp.equilibria import gaussian, two_stream, zero
 from vpdamp.linear import (
     DensityTrace,
     FitResult,
@@ -138,6 +138,77 @@ class TestVolterra:
         _, src = single_mode_source()
         with pytest.raises(ValueError, match="step limit"):
             volterra_solve(EQ, 1, src, 1e-8, 200.0)
+
+
+def direct_march(eq, k, source, dt, T):
+    """The O(N^2) product-trapezoid march that volterra_solve reorders."""
+    times = dt * np.arange(int(round(T / dt)) + 1)
+    kappa = times * np.asarray(eq.mu_hat(k * times), dtype=float)
+    S = np.asarray(source(times), dtype=complex)
+    rho = np.zeros(times.size, dtype=complex)
+    rho[0] = S[0]
+    for n in range(1, times.size):
+        acc = 0.5 * kappa[n] * rho[0]
+        if n > 1:
+            acc += np.dot(kappa[n - 1 : 0 : -1], rho[1:n])
+        rho[n] = S[n] - dt * acc
+    return rho
+
+
+class TestVolterraDivideAndConquer:
+    @staticmethod
+    def source(t):
+        return 1e-3 * np.exp(-0.5 * (t - 1.0) ** 2 + 2j * t)
+
+    # block edges at 128 samples; 20001 is the criterion-2 grid length
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1000, 20001])
+    @pytest.mark.parametrize("eq", [EQ, two_stream(3.0)], ids=["gaussian", "two_stream3"])
+    def test_matches_direct_march(self, eq, n):
+        dt = 20.0 / (n - 1) if n > 1 else 1e-3
+        T = dt * (n - 1)
+        got = volterra_solve(eq, 1, self.source, dt, T).values
+        ref = direct_march(eq, 1, self.source, dt, T)
+        assert got.shape == ref.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_long_grid_stays_finite(self):
+        # sigma T is capped, so the e^{sigma t} history weights cannot overflow
+        tr = volterra_solve(EQ, 1, self.source, 0.5, 2000.0)
+        assert np.all(np.isfinite(tr.values))
+
+
+def gauss_panel_autoconvolution(eq, k, times):
+    """(kappa * kappa)(t) by 40 scaled 16-node Gauss panels on [0, t/2], doubled."""
+    x, wq = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 1.0, 41)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    u = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wu = (half[:, None] * wq[None, :]).ravel()
+    out = np.empty(times.size)
+    for i in range(0, times.size, 512):
+        tb = times[i : i + 512, None]
+        s = 0.5 * tb * u[None, :]
+        integrand = (s * np.asarray(eq.mu_hat(k * s), dtype=float)
+                     * (tb - s) * np.asarray(eq.mu_hat(k * (tb - s)), dtype=float))
+        out[i : i + 512] = tb[:, 0] * (integrand @ wu)
+    return out
+
+
+class TestKernelAutoconvolution:
+    @pytest.mark.parametrize("times", [
+        2e-3 * np.arange(10001),          # where an order-6 rule was off by 2e-14
+        0.1 * np.arange(201),             # coarse: nested grid of spacing h/128 at k = 4
+        0.37 + 0.05 * np.arange(200),     # t_0 off the multiples of h: per-time sums
+        0.01 * (37 + np.arange(400)),     # t_0 = 0.37 on the multiples of h
+    ], ids=["h2e-3", "h0.1", "t0.37-off-grid", "t0.37-on-grid"])
+    @pytest.mark.parametrize("eq", [EQ, two_stream(3.0)], ids=["gaussian", "two_stream3"])
+    def test_matches_gauss_panels(self, eq, times):
+        for k in range(1, 5):
+            th, _, _ = contour_parameters(eq, k, float(times[-1]))
+            got = linear._kernel_autoconvolution(eq, k, times, 2.0 * th * k)
+            ref = gauss_panel_autoconvolution(eq, k, times)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), k
 
 
 class TestKernel:

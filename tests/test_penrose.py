@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ from vpdamp.penrose import (
 # frozen; the module must reproduce them through its own quadrature.
 GAUSSIAN_ROOT_K1 = -0.8513304555998186 + 2.045904868820431j
 GAUSSIAN_ROOT_K2 = -2.827200262773465 + 3.1891361967787177j
+
+# Purely growing root of NARROW at k = 1 (D is real on the real axis and
+# changes sign there), frozen from the Newton root finder.
+NARROW_ROOT_K1 = 0.2064671569837391
+
+
+def narrow_two_stream():
+    """Streams at +-1 of width 0.3: mu_hat = cos(eta) e^{-0.045 eta^2}, unstable at k = 1."""
+    return dataclasses.replace(
+        two_stream(1.0), theta0=0.3,
+        mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.045 * np.asarray(eta, float) ** 2),
+        hat_log_envelope=lambda eta: -0.045 * np.asarray(eta, float) ** 2)
+
 
 # Recorded boundary-scan reference (regression pin, not an external truth).
 GAUSSIAN_KAPPA0 = 0.7509172785917717
@@ -148,6 +163,20 @@ class TestFindRoot:
     def test_conjugate_root(self):
         lam, _ = find_root(gaussian(), 1, np.conj(GAUSSIAN_ROOT_K1) + 0.05)
         assert abs(lam - np.conj(GAUSSIAN_ROOT_K1)) < 1e-7
+
+    def test_growing_root_wins_over_damped(self):
+        # a damped root -0.0538 + 1.948i sits near the imaginary axis too
+        lam, res = landau_root(narrow_two_stream(), 1)
+        assert res < 1e-10
+        assert abs(lam.real - NARROW_ROOT_K1) < 1e-6
+        assert abs(lam.imag) < 1e-6
+
+    def test_margin_offender_is_the_growing_root(self):
+        m = margin(narrow_two_stream())
+        assert m.kappa0 == 0.0
+        assert [k for k, _, _ in m.offenders] == [1]
+        lam = m.offenders[0][1]
+        assert abs(lam.real - NARROW_ROOT_K1) < 1e-6 and abs(lam.imag) < 1e-6
 
     def test_stub_has_no_roots(self):
         with pytest.raises(RootConvergenceError):

@@ -12,6 +12,7 @@ from vpdamp.spectral import (
     required_nv,
     state_from_modes,
     to_eta,
+    trapezoid_convolve,
 )
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -163,3 +164,21 @@ class TestState:
         st = decayed_state(g)
         assert 0.0 < st.boundary_floor() < 1e-6
         assert SpectralState.zeros(g).boundary_floor() == 0.0
+
+
+class TestTrapezoidConvolve:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_direct_sum(self, dtype):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=300).astype(dtype)
+        b = rng.normal(size=300) + (1j * rng.normal(size=300) if dtype is complex else 0.0)
+        ref = 0.01 * (np.convolve(a, b)[:300] - 0.5 * a * b[0] - 0.5 * a[0] * b)
+        got = trapezoid_convolve(a, b, 0.01)
+        assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+        assert np.iscomplexobj(got) == np.iscomplexobj(ref)
+
+    def test_exact_integral_of_linear_product(self):
+        # int_0^t (t - s) ds = t^2 / 2: the trapezoid rule is exact on lines
+        t = 0.05 * np.arange(41)
+        got = trapezoid_convolve(t, np.ones_like(t), 0.05)
+        assert np.max(np.abs(got - 0.5 * t**2)) < 1e-14

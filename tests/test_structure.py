@@ -22,3 +22,12 @@ def test_no_private_names_imported_across_modules(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_direct_convolution(path):
+    # O(N^2) np.convolve has an O(N log N) replacement in spectral.fft_convolve.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "convolve"]
+    assert not calls, f"{path.name} uses np.convolve: {calls}"
