@@ -72,8 +72,9 @@ from . import __version__
 from .equilibria import Equilibrium, gaussian, two_stream, zero
 from .linear import DensityTrace, cosine_initial_hat, fit_decay, source_from_initial, volterra_solve
 from .nonlinear import RunConfig, Snapshot, closure_residual, echo_experiment, run
-from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_FG1,
-                    check_multiplier, eta_tail_fraction, norm_profile, radius, snapshot_density)
+from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
+                    eta_tail_fraction, fit_FG1, norm_profile, radius, snapshot_density)
+from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
 from .penrose import full_report
 from .spectral import Grid, required_nv
 
@@ -676,7 +677,7 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
                     fh.write(f"{_fmt(t)},{_fmt(z)},{_fmt(profile.G[i, j])},"
                              f"{_fmt(profile.F[i, j])},{_fmt(profile.lam[i])}\n")
 
-    fg1 = check_FG1(stored, params)
+    fg1 = fit_FG1(profile)
     contraction = check_contraction(stored, params, C0=fg1.C0)
     grid = cfg.grid()
     pick = np.unique(np.linspace(0, len(stored.snapshots) - 1,

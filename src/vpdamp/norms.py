@@ -14,7 +14,9 @@ coupling G and F, the pointwise domination F <= sqrt(G), the shrinking-radius
 contraction condition, the Fourier-multiplier comparison against d_z G, and
 the propagator bound satisfied by linear density traces.  Inequalities whose
 constants the theory leaves unquantified are handled by fitting the smallest
-admissible constant, never by asserting a magic number.
+admissible constant, never by asserting a magic number.  Each snapshot's
+eta-tables are built once (spectral.eta_tables), and fit_FG1 fits the G-F
+inequality from a NormProfile already tabulated.
 """
 
 import math
@@ -23,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralState, eta_derivative, to_eta
+# to_eta and eta_derivative stay bound here for perfbench's tracer; the norms use eta_tables.
+from .spectral import SpectralState, eta_derivative, eta_tables, to_eta  # noqa: F401
 
 # Below this, a fitted-ratio denominator is treated as exactly zero.
 RATIO_FLOOR = 1e-300
@@ -102,17 +105,16 @@ def weight(k, eta, z: float, params: WeightParams):
     return np.exp(z * b**params.gamma) * b**params.sigma
 
 
-def _state_tables(state: SpectralState):
-    """Per-(k, eta) bracket and transform mass |ghat|^2 + |d_eta ghat|^2."""
-    g = state.grid
-    b = np.empty((g.n_modes, g.N_v))
-    mass = np.empty((g.n_modes, g.N_v))
-    eta = g.eta
-    for k in g.modes:
-        i = g.mode_index(int(k))
-        b[i] = bracket(float(k), eta)
-        mass[i] = np.abs(to_eta(state, int(k))) ** 2 + np.abs(eta_derivative(state, int(k))) ** 2
-    return b, mass
+def _weight_tables(grid, params: WeightParams):
+    """b**gamma and b**(2 sigma) of the bracket b = <k,eta> on the (modes, eta) grid."""
+    b = bracket(grid.modes.astype(float)[:, None], grid.eta[None, :])
+    return b**params.gamma, b ** (2.0 * params.sigma)
+
+
+def _mass(state: SpectralState) -> np.ndarray:
+    """Transform mass |ghat|^2 + |d_eta ghat|^2 per (k, eta)."""
+    ghat, dghat = eta_tables(state)
+    return np.abs(ghat) ** 2 + np.abs(dghat) ** 2
 
 
 def _guard_overflow(state: SpectralState, z: float, params: WeightParams) -> None:
@@ -124,10 +126,9 @@ def _guard_overflow(state: SpectralState, z: float, params: WeightParams) -> Non
         )
 
 
-def _G_from_tables(b: np.ndarray, mass: np.ndarray, z: float, deta: float,
-                   params: WeightParams) -> float:
-    w = np.exp(2.0 * z * b**params.gamma) * b ** (2.0 * params.sigma)
-    return float(deta * np.sum(w * mass))
+def _G_from_tables(bg: np.ndarray, bs: np.ndarray, mass: np.ndarray, z: float,
+                   deta: float) -> float:
+    return float(deta * np.sum(np.exp(2.0 * z * bg) * bs * mass))
 
 
 def gen_G(state: SpectralState, z: float, params: WeightParams) -> float:
@@ -135,8 +136,8 @@ def gen_G(state: SpectralState, z: float, params: WeightParams) -> float:
     if z < 0.0:
         raise ValueError(f"need z >= 0, got z = {z}")
     _guard_overflow(state, z, params)
-    b, mass = _state_tables(state)
-    return _G_from_tables(b, mass, z, state.grid.deta, params)
+    return _G_from_tables(*_weight_tables(state.grid, params), _mass(state), z,
+                          state.grid.deta)
 
 
 def eta_tail_fraction(state: SpectralState, z: float, params: WeightParams) -> float:
@@ -147,20 +148,14 @@ def eta_tail_fraction(state: SpectralState, z: float, params: WeightParams) -> f
     badly the true integral over the line is being under-counted.
     """
     _guard_overflow(state, z, params)
-    b, mass = _state_tables(state)
-    w = np.exp(2.0 * z * b**params.gamma) * b ** (2.0 * params.sigma) * mass
+    bg, bs = _weight_tables(state.grid, params)
+    w = np.exp(2.0 * z * bg) * bs * _mass(state)
     total = float(np.sum(w))
     if total == 0.0:
         return 0.0
     eta = state.grid.eta
     outer = np.abs(eta) >= 0.9 * np.max(np.abs(eta))
     return float(np.sum(w[:, outer])) / total
-
-
-def _density_pairs(rho):
-    if hasattr(rho, "items"):
-        return [(int(k), complex(val)) for k, val in rho.items()]
-    return [(int(k), complex(val)) for k, val in rho]
 
 
 def gen_F(rho, t: float, z: float, params: WeightParams) -> float:
@@ -170,20 +165,26 @@ def gen_F(rho, t: float, z: float, params: WeightParams) -> float:
     k = 0 entry never contributes.  Evaluated in log-space so large weights
     cannot overflow intermediate products.
     """
+    return _F_from_terms(_F_terms(rho, t, params), z)
+
+
+def _F_terms(rho, t: float, params: WeightParams) -> list:
+    """Per nonzero mode: (<k,kt>^gamma, sigma log <k,kt>, log |rho_k|), the z-free parts of F."""
+    terms = []
+    for k, val in (rho.items() if hasattr(rho, "items") else rho):
+        a = abs(complex(val))
+        if int(k) != 0 and a != 0.0:
+            b = float(bracket(int(k), int(k) * t))
+            terms.append((b**params.gamma, params.sigma * math.log(b), math.log(a)))
+    return terms
+
+
+def _F_from_terms(terms: list, z: float) -> float:
     if z < 0.0:
         raise ValueError(f"need z >= 0, got z = {z}")
-    best = None
-    for k, val in _density_pairs(rho):
-        if k == 0:
-            continue
-        a = abs(val)
-        if a == 0.0:
-            continue
-        b = float(bracket(k, k * t))
-        log_term = z * b**params.gamma + params.sigma * math.log(b) + math.log(a)
-        best = log_term if best is None else max(best, log_term)
-    if best is None:
+    if not terms:
         return 0.0
+    best = max(z * bg + log_w + log_a for bg, log_w, log_a in terms)
     return math.exp(best) if best < 709.0 else math.inf
 
 
@@ -236,14 +237,15 @@ def norm_profile(output, params: WeightParams, z_grid=None) -> NormProfile:
     times = np.array([s.t for s in output.snapshots])
     G = np.empty((times.size, zs.size))
     F = np.empty_like(G)
+    bg, bs = _weight_tables(grid, params)
     for i, snap in enumerate(output.snapshots):
         state = snap.to_state(grid)
         _guard_overflow(state, float(zs[-1]), params)
-        b, mass = _state_tables(state)
-        rho = snapshot_density(output, snap.t)
+        mass = _mass(state)
+        terms = _F_terms(snapshot_density(output, snap.t), snap.t, params)
         for j, z in enumerate(zs):
-            G[i, j] = _G_from_tables(b, mass, float(z), grid.deta, params)
-            F[i, j] = gen_F(rho, snap.t, float(z), params)
+            G[i, j] = _G_from_tables(bg, bs, mass, float(z), grid.deta)
+            F[i, j] = _F_from_terms(terms, float(z))
     return NormProfile(times=times, z_grid=zs, G=G, F=F,
                        lam=radius(times, params))
 
@@ -259,39 +261,40 @@ class FG1Report:
 
 
 def check_FG1(output, params: WeightParams, z_grid=None) -> FG1Report:
+    """fit_FG1 on the norm profile of the run's snapshots."""
+    if len(output.snapshots) < 3:
+        raise ValueError("need at least 3 snapshots for centered time differencing")
+    return fit_FG1(norm_profile(output, params, z_grid))
+
+
+def fit_FG1(prof: NormProfile) -> FG1Report:
     """Fit the smallest C0 with  d_t G <= C0 F G^{1/2} + C0 (1+t) F d_z G.
 
     Time and z derivatives are centered differences on the snapshot times
     and the z-grid; only interior sample points constrain the fit.
     """
-    if len(output.snapshots) < 3:
+    if prof.times.size < 3:
         raise ValueError("need at least 3 snapshots for centered time differencing")
-    prof = norm_profile(output, params, z_grid)
     if prof.z_grid.size < 3:
         raise ValueError("need at least 3 z-grid points for centered z differencing")
-    dG_dt = np.gradient(prof.G, prof.times, axis=0)
-    dG_dz = np.gradient(prof.G, prof.z_grid, axis=1)
+    inner = (slice(1, -1), slice(1, -1))
+    lhs = np.gradient(prof.G, prof.times, axis=0)[inner]
+    dG_dz = np.gradient(prof.G, prof.z_grid, axis=1)[inner]
+    F = prof.F[inner]
+    rhs = F * np.sqrt(prof.G[inner]) + (1.0 + prof.times[1:-1, None]) * F * dG_dz
+    grows = lhs > 0.0
+    violation = float(np.max(lhs[grows & (rhs <= RATIO_FLOOR)], initial=0.0))
+    ratio = _ratios(lhs, rhs, grows & (rhs > RATIO_FLOOR))
+    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    C0 = float(ratio[i, j])
+    i, j = (i + 1, j + 1) if C0 > 0.0 else (0, 0)  # nothing fitted: the grid origin
+    return FG1Report(C0=C0, max_violation=violation,
+                     at=(float(prof.times[i]), float(prof.z_grid[j])), n_samples=ratio.size)
 
-    C0 = 0.0
-    at = (float(prof.times[0]), float(prof.z_grid[0]))
-    violation = 0.0
-    n = 0
-    for i in range(1, prof.times.size - 1):
-        t = float(prof.times[i])
-        for j in range(1, prof.z_grid.size - 1):
-            lhs = dG_dt[i, j]
-            rhs = prof.F[i, j] * math.sqrt(prof.G[i, j]) \
-                + (1.0 + t) * prof.F[i, j] * dG_dz[i, j]
-            n += 1
-            if lhs <= 0.0:
-                continue
-            if rhs <= RATIO_FLOOR:
-                violation = max(violation, lhs)
-                continue
-            if lhs / rhs > C0:
-                C0 = lhs / rhs
-                at = (t, float(prof.z_grid[j]))
-    return FG1Report(C0=C0, max_violation=violation, at=at, n_samples=n)
+
+def _ratios(num: np.ndarray, den: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """num / den where keep, else 0."""
+    return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -356,19 +359,6 @@ class MultiplierReport:
     ok: bool
 
 
-def _multiplier_G(state: SpectralState, z: float, params: WeightParams,
-                  symbol: str) -> float:
-    """G with the integrand multiplied by |k|^gamma or |eta|^gamma."""
-    _guard_overflow(state, z, params)
-    g = state.grid
-    b, mass = _state_tables(state)
-    if symbol == "k":
-        factor = np.abs(g.modes.astype(float))[:, None] ** params.gamma
-    else:
-        factor = np.abs(g.eta)[None, :] ** params.gamma
-    return _G_from_tables(b, factor * mass, z, g.deta, params)
-
-
 def check_multiplier(state: SpectralState, z: float, params: WeightParams,
                      h: Optional[float] = None) -> MultiplierReport:
     """Compare G of the half-derivative of the state against d_z G.
@@ -385,9 +375,17 @@ def check_multiplier(state: SpectralState, z: float, params: WeightParams,
             f"z = {z} with step h = {h} is not interior to the z-grid "
             f"[{zg[0]}, {zg[-1]}]"
         )
-    dG = (gen_G(state, z + h, params) - gen_G(state, max(z - h, 0.0), params)) / (2.0 * h)
-    x_margin = dG - _multiplier_G(state, z, params, "k")
-    v_margin = dG - _multiplier_G(state, z, params, "eta")
+    _guard_overflow(state, z + h, params)
+    g = state.grid
+    bg, bs = _weight_tables(g, params)
+    mass = _mass(state)
+    dG = (_G_from_tables(bg, bs, mass, z + h, g.deta)
+          - _G_from_tables(bg, bs, mass, max(z - h, 0.0), g.deta)) / (2.0 * h)
+    # G with the integrand multiplied by |k|^gamma or |eta|^gamma
+    k_factor = np.abs(g.modes.astype(float))[:, None] ** params.gamma
+    eta_factor = np.abs(g.eta)[None, :] ** params.gamma
+    x_margin = dG - _G_from_tables(bg, bs, k_factor * mass, z, g.deta)
+    v_margin = dG - _G_from_tables(bg, bs, eta_factor * mass, z, g.deta)
     floor = 1e-8 * max(1.0, abs(dG))
     return MultiplierReport(x_margin=x_margin, v_margin=v_margin, h=h, floor=floor,
                             ok=x_margin >= -floor and v_margin >= -floor)
@@ -427,28 +425,19 @@ def check_propagator(k: int, times: np.ndarray, rho_values: np.ndarray,
 
     b = bracket(k, k * times)
     log_w = np.log(b) * params.sigma
-    C = 0.0
-    at = (float(times[0]), float(zs[0]))
-    n = 0
+    decay = np.exp(-theta1 * times / 4.0)
+    grow = np.exp(theta1 * times / 4.0)
+    C, at = 0.0, (float(times[0]), float(zs[0]))
     for z in zs:
         A = np.exp(z * b**params.gamma + log_w)
-        F_rho = A * np.abs(rho_values)
         F_S = A * np.abs(source_values)
         # trapezoid of e^{-theta1 (t-s)/4} F_S(s) ds, one pass per z
-        decay = np.exp(-theta1 * times / 4.0)
-        grow = np.exp(theta1 * times / 4.0)
         integrand = grow * F_S
-        cum = np.concatenate(([0.0], np.cumsum(
+        integral = decay * np.concatenate(([0.0], np.cumsum(
             0.5 * dt * (integrand[:-1] + integrand[1:]))))
-        integral = decay * cum
-        for i in range(times.size):
-            n += 1
-            num = F_rho[i] - F_S[i]
-            if num <= 0.0:
-                continue
-            if integral[i] <= RATIO_FLOOR:
-                continue
-            if num / integral[i] > C:
-                C = num / integral[i]
-                at = (float(times[i]), float(z))
-    return PropagatorFit(C=C, at=at, n_samples=n)
+        num = A * np.abs(rho_values) - F_S
+        ratio = _ratios(num, integral, (num > 0.0) & (integral > RATIO_FLOOR))
+        i = int(np.argmax(ratio))
+        if ratio[i] > C:
+            C, at = float(ratio[i]), (float(times[i]), float(z))
+    return PropagatorFit(C=C, at=at, n_samples=times.size * zs.size)

@@ -32,6 +32,7 @@ from .spectral import phase_sum
 TAIL_TOL = 1e-15
 ROOT_RESIDUAL_TOL = 1e-10
 CONTOUR_CLEARANCE = 1e-8
+ROOT_WANDER = 8.0  # farthest a Newton iterate may stray from its seed (scan polishes move < 0.2)
 
 
 class DomainError(ValueError):
@@ -82,10 +83,9 @@ def _cutoff(eq: Equilibrium, k: int, rho: float) -> float:
         rate = -(
             _log_integrand_bound(eq, ak, rho, t + h) - _log_integrand_bound(eq, ak, rho, t - h)
         ) / (2.0 * h)
-        if rate > 1e-9:
-            tail = math.exp(_log_integrand_bound(eq, ak, rho, t)) / rate
-            if tail < TAIL_TOL:
-                return t
+        log_bound = _log_integrand_bound(eq, ak, rho, t)
+        if rate > 1e-9 and log_bound < 700.0 and math.exp(log_bound) / rate < TAIL_TOL:
+            return t
         t += 0.5
     raise DomainError(
         f"could not certify a quadrature cutoff for k={k} with max(-Re lambda) = {rho:g}"
@@ -114,7 +114,10 @@ def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
     if k == 0:
         raise ValueError("k must be a nonzero integer")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    T = _cutoff(eq, k, float(np.max(-lam_arr.real))) + extra
+    rho = float(np.max(-lam_arr.real))
+    T = _cutoff(eq, k, rho) + extra
+    if rho * T > 700.0:
+        raise DomainError(f"e^(-lambda t) overflows on [0, {T:g}] at max(-Re lambda) = {rho:g}")
     omega_max = float(np.max(np.abs(lam_arr.imag)))
     re_max = float(np.max(np.abs(lam_arr.real)))
     width = min(1.0, 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
@@ -332,27 +335,29 @@ def find_root(eq: Equilibrium, k: int, seed: complex):
     """Newton iteration for a dispersion zero from the given seed.
 
     Returns (lambda_star, residual) with |D| < 1e-10, or raises
-    RootConvergenceError after 50 iterations (also when an iterate
-    leaves the analyticity region).  The derivative is the transform of
+    RootConvergenceError after 50 iterations, and when an iterate leaves
+    the analyticity region or the symbol's domain, or is not finite or
+    within ROOT_WANDER of the seed.  The derivative is the transform of
     -t^2 mu_hat(kt), obtained by differentiating under the integral.
     """
     lam = complex(seed)
     for _ in range(50):
-        d = dispersion(eq, k, lam)
-        if abs(d) < ROOT_RESIDUAL_TOL:
-            return lam, abs(d)
-        dp = -_moment_transform(eq, k, lam, 2, 2.0)
+        try:
+            d = dispersion(eq, k, lam)
+            if abs(d) < ROOT_RESIDUAL_TOL:
+                return lam, abs(d)
+            dp = -_moment_transform(eq, k, lam, 2, 2.0)
+        except DomainError as exc:
+            raise RootConvergenceError(f"iterate {lam:.6g} (k={k}): {exc}") from exc
         if abs(dp) < 1e-14:
             raise RootConvergenceError(
                 f"vanishing dispersion derivative at {lam:.6g} (k={k}); "
                 f"no zero nearby (|D| = {abs(d):.3e})"
             )
-        step = d / dp
-        lam = lam - step
-        if eq.hat_log_envelope is None and lam.real <= -eq.theta0 * abs(k):
-            raise RootConvergenceError(
-                f"iterate {lam:.6g} left the k={k} analyticity region"
-            )
+        lam = lam - d / dp
+        if not abs(lam - seed) <= ROOT_WANDER:
+            raise RootConvergenceError(f"iterate {lam:.6g} (k={k}) is not finite or "
+                                       f"farther than {ROOT_WANDER:g} from seed {seed:.6g}")
     raise RootConvergenceError(
         f"no convergence after 50 iterations from seed {complex(seed):.6g} "
         f"(k={k}, last |D| = {abs(d):.3e})"
@@ -366,7 +371,8 @@ def _dominant_root(eq: Equilibrium, k: int, rect):
     right of Re = -(one grid step) is polished, the lowest row counting as
     an edge open towards the real axis, and the growing root with the
     largest Re lambda is returned, Im >= 0.  Without one, the root
-    polished from the least |D| of the scan is returned.
+    polished from the least |D| of the scan is returned; that need not be
+    the least damped root in the rectangle.
     """
     a, b, i0, i1 = rect
     re = np.linspace(a, b, 48)
@@ -389,12 +395,15 @@ def _dominant_root(eq: Equilibrium, k: int, rect):
 
 
 def landau_root(eq: Equilibrium, k: int):
-    """Dominant dispersion zero for mode k, seeded from a coarse grid scan.
+    """Dispersion zero for mode k, seeded from a coarse grid scan.
 
     Searches the upper half of a rectangle sized from the equilibrium
     envelope: damped roots have -theta0 |k| < Re < 0 for generic
     envelopes, deeper for super-exponential ones; unstable roots sit at
-    Re > 0, and the one with the largest Re wins.
+    Re > 0, and the one with the largest Re wins.  A damped root is the one
+    polished from the scan's least |D|, not necessarily the least damped:
+    for two_stream(3), k = 1 it is -1.13286 + 1.19286i, though -1.13186 +
+    4.79348i in the same rectangle is less damped.
     """
     if eq.hat_log_envelope is not None:
         re0 = -2.95 * abs(k)

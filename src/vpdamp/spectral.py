@@ -175,13 +175,14 @@ def state_from_modes(grid: Grid, modes: dict[int, np.ndarray], t: float = 0.0) -
     return st
 
 
-def _check_boundary(state: SpectralState, k: int, tol: float = BOUNDARY_DECAY_TOL) -> None:
+def _check_boundary(state: SpectralState, k=None, tol: float = BOUNDARY_DECAY_TOL) -> None:
+    """Raise BoundaryDecayError unless mode k (every mode if None) has decayed at |v| = V."""
     scale = np.max(np.abs(state.data))
-    if scale == 0.0:
-        return
-    row = state.mode(k)
-    edge = max(abs(row[0]), abs(row[-1]))
-    if edge > tol * scale:
+    rows = slice(None) if k is None else [state.grid.mode_index(k)]
+    edges = np.max(np.abs(state.data[rows][:, [0, -1]]), axis=1)
+    bad = np.flatnonzero(edges > tol * scale)
+    if bad.size:
+        k, edge = int(state.grid.modes[rows][bad[0]]), edges[bad[0]]
         raise BoundaryDecayError(
             f"mode k={k} has |g_k| = {edge:.3e} at |v| = V "
             f"(= {edge / scale:.3e} of the state max, tolerance {tol:.0e}); "
@@ -197,6 +198,12 @@ def _alternating_signs(n: int) -> np.ndarray:
     return s
 
 
+def _eta_transform(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    # dv-weighted DFT of each row along v, on the ascending eta-grid.
+    spec = np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1)
+    return grid.dv * _alternating_signs(grid.N_v) * spec
+
+
 def to_eta(state: SpectralState, k: int) -> np.ndarray:
     """Velocity transform of mode k on the ascending eta-grid.
 
@@ -206,9 +213,7 @@ def to_eta(state: SpectralState, k: int) -> np.ndarray:
     extra trigonometric rounding.
     """
     _check_boundary(state, k)
-    g = state.grid
-    spec = np.fft.fftshift(np.fft.fft(state.mode(k)))
-    return g.dv * _alternating_signs(g.N_v) * spec
+    return _eta_transform(state.grid, state.mode(k))
 
 
 def from_eta(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -221,9 +226,15 @@ def eta_derivative(state: SpectralState, k: int) -> np.ndarray:
     """d/deta of the velocity transform: the transform of (-i v) g_k(v)."""
     _check_boundary(state, k)
     g = state.grid
-    weighted = (-1j * g.v) * state.mode(k)
-    spec = np.fft.fftshift(np.fft.fft(weighted))
-    return g.dv * _alternating_signs(g.N_v) * spec
+    return _eta_transform(g, (-1j * g.v) * state.mode(k))
+
+
+def eta_tables(state: SpectralState) -> tuple:
+    """(to_eta, eta_derivative) of every mode, rows in grid.modes order, bit-equal to
+    the per-mode calls: one boundary check and one FFT call per table."""
+    _check_boundary(state)
+    g = state.grid
+    return _eta_transform(g, state.data), _eta_transform(g, (-1j * g.v) * state.data)
 
 
 def oscillatory_moment(state: SpectralState, k: int, phase_rate: float) -> complex:

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vpdamp import cli
+import vpdamp
+from vpdamp import cli, norms
+from vpdamp.norms import norm_profile
 from vpdamp.spectral import Grid, required_nv
 
 MINIMAL = "[equilibrium]\nname = gaussian\n"
@@ -321,6 +325,21 @@ class TestNormsCommand:
         assert lines[1] == "t,z,G,F,lambda"
         assert len(lines) - 2 == rep["n_snapshots"] * 33
 
+    def test_one_profile_per_run(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=1.0,
+                                                  stride=5, snapshot_stride=20))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norm_profile(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "norm_profile", counted)
+        monkeypatch.setattr(norms, "norm_profile", counted)
+        assert cli.main(["norms", "--config", str(path)]) == 0
+        assert len(calls) == 1
+
     def test_requires_snapshots(self, tmp_path):
         path = write_config(tmp_path, config_text(tmp_path / "o", T=0.5,
                                                   formats="csv,json"))
@@ -408,8 +427,12 @@ class TestExitCodesAndFlags:
         assert "penrose" in capsys.readouterr().out
 
     def test_module_entry_point(self):
+        # the child imports vpdamp from this checkout, installed or not
+        src = str(Path(vpdamp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "vpdamp.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0 and "nonlinear" in proc.stdout
 
 

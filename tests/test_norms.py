@@ -19,6 +19,7 @@ from vpdamp.norms import (
     check_multiplier,
     check_propagator,
     eta_tail_fraction,
+    fit_FG1,
     gen_F,
     gen_G,
     norm_profile,
@@ -28,7 +29,7 @@ from vpdamp.norms import (
     weight,
 )
 from vpdamp.penrose import strip_width
-from vpdamp.spectral import BoundaryDecayError, Grid, SpectralState
+from vpdamp.spectral import BoundaryDecayError, Grid, SpectralState, eta_derivative, to_eta
 
 # radius at t = 1 with delta = 0.1, lam0 = 0.05: 0.05 (1 + 2^{-0.1}),
 # frozen from independent arithmetic.
@@ -384,6 +385,107 @@ class TestMultiplier:
             check_multiplier(st, 0.0, PARAMS)
         with pytest.raises(ValueError, match="interior"):
             check_multiplier(st, PARAMS.z_grid[-1], PARAMS)
+
+
+# Per-mode reference: the table build and functionals as they were before the
+# batched transforms and hoisted weights.  The module must reproduce it bit for bit.
+def ref_state_tables(state):
+    g = state.grid
+    b = np.empty((g.n_modes, g.N_v))
+    mass = np.empty((g.n_modes, g.N_v))
+    for k in g.modes:
+        i = g.mode_index(int(k))
+        b[i] = bracket(float(k), g.eta)
+        mass[i] = np.abs(to_eta(state, int(k))) ** 2 + np.abs(eta_derivative(state, int(k))) ** 2
+    return b, mass
+
+
+def ref_G_from_tables(b, mass, z, deta, params):
+    w = np.exp(2.0 * z * b**params.gamma) * b ** (2.0 * params.sigma)
+    return float(deta * np.sum(w * mass))
+
+
+def ref_G(state, z, params, factor=1.0):
+    b, mass = ref_state_tables(state)
+    return ref_G_from_tables(b, factor * mass, z, state.grid.deta, params)
+
+
+def ref_F(rho, t, z, params):
+    best = None
+    for k, val in rho.items():
+        if k == 0 or abs(val) == 0.0:
+            continue
+        b = float(bracket(k, k * t))
+        log_term = z * b**params.gamma + params.sigma * math.log(b) + math.log(abs(val))
+        best = log_term if best is None else max(best, log_term)
+    if best is None:
+        return 0.0
+    return math.exp(best) if best < 709.0 else math.inf
+
+
+@pytest.fixture(scope="module")
+def coupled_run():
+    # quadratic coupling fills every mode of the K = 4 grid
+    cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=3.0,
+                    modes=((1, 1e-3, 0.0), (2, 5e-4, 0.3)), snapshot_stride=10)
+    return run(cfg)
+
+
+class TestOnePassTables:
+    def test_profile_and_fit_bit_identical(self, coupled_run):
+        prof = norm_profile(coupled_run, PARAMS)
+        assert np.all(np.abs(coupled_run.snapshots[-1].data[0]) > 0)
+        zs = PARAMS.z_grid
+        G = np.empty((len(coupled_run.snapshots), zs.size))
+        F = np.empty_like(G)
+        for i, snap in enumerate(coupled_run.snapshots):
+            state = snap.to_state(GRID)
+            b, mass = ref_state_tables(state)
+            rho = {k: tr.values[10 * i] for k, tr in coupled_run.traces.items()}
+            for j, z in enumerate(zs):
+                G[i, j] = ref_G_from_tables(b, mass, float(z), GRID.deta, PARAMS)
+                F[i, j] = ref_F(rho, snap.t, float(z), PARAMS)
+        assert np.array_equal(prof.G, G) and np.array_equal(prof.F, F)
+        ref = NormProfile(times=prof.times, z_grid=zs, G=G, F=F, lam=prof.lam)
+        assert check_FG1(coupled_run, PARAMS) == fit_FG1(ref)
+
+    def test_state_functionals_bit_identical(self, coupled_run):
+        snap = coupled_run.snapshots[-1]
+        state = snap.to_state(GRID)
+        rho = {k: tr.values[-1] for k, tr in coupled_run.traces.items()}
+        for z in (0.0, 0.05, 0.1):
+            assert gen_G(state, z, PARAMS) == ref_G(state, z, PARAMS)
+            assert gen_F(rho, snap.t, z, PARAMS) == ref_F(rho, snap.t, z, PARAMS)
+            margin = math.sqrt(ref_G(state, z, PARAMS)) - ref_F(rho, snap.t, z, PARAMS)
+            assert check_F_le_sqrtG(state, rho, z, PARAMS).margin == margin
+        b, mass = ref_state_tables(state)
+        w = np.exp(2.0 * 0.05 * b**PARAMS.gamma) * b ** (2.0 * PARAMS.sigma) * mass
+        outer = np.abs(GRID.eta) >= 0.9 * np.max(np.abs(GRID.eta))
+        assert eta_tail_fraction(state, 0.05, PARAMS) == \
+            float(np.sum(w[:, outer])) / float(np.sum(w))
+
+    def test_multiplier_bit_identical(self, coupled_run):
+        state = coupled_run.snapshots[-1].to_state(GRID)
+        z = 0.1
+        rep = check_multiplier(state, z, PARAMS)
+        h = rep.h
+        dG = (ref_G(state, z + h, PARAMS) - ref_G(state, z - h, PARAMS)) / (2.0 * h)
+        k_factor = np.abs(GRID.modes.astype(float))[:, None] ** PARAMS.gamma
+        eta_factor = np.abs(GRID.eta)[None, :] ** PARAMS.gamma
+        assert rep.x_margin == dG - ref_G(state, z, PARAMS, k_factor)
+        assert rep.v_margin == dG - ref_G(state, z, PARAMS, eta_factor)
+
+    def test_fit_without_growth_reports_origin(self, zero_run):
+        rep = check_FG1(zero_run, PARAMS)
+        assert rep.C0 == 0.0 and rep.at == (0.0, 0.0)
+        assert rep.n_samples == (len(zero_run.snapshots) - 2) * (PARAMS.z_grid.size - 2)
+
+    def test_fit_needs_three_times(self, coupled_run):
+        prof = norm_profile(coupled_run, PARAMS)
+        short = NormProfile(times=prof.times[:2], z_grid=prof.z_grid, G=prof.G[:2],
+                            F=prof.F[:2], lam=prof.lam[:2])
+        with pytest.raises(ValueError, match="3 snapshots"):
+            fit_FG1(short)
 
 
 @pytest.fixture(scope="module")

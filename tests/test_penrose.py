@@ -1,4 +1,6 @@
 import dataclasses
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +183,23 @@ class TestFindRoot:
     def test_stub_has_no_roots(self):
         with pytest.raises(RootConvergenceError):
             find_root(zero(), 1, 0.5 + 1j)
+
+    def test_poor_seed_raises_its_own_error(self):
+        # From this seed the Newton steps run off towards -9.3 - 25.6i, where
+        # e^{-lambda t} overflows; the refusal must come before that evaluation.
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RootConvergenceError, match="farther than 8 from seed"):
+                find_root(narrow_two_stream(), 1, -2.36 + 4.33j)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_domain_error_inside_iteration_becomes_convergence_error(self):
+        # the overflow guard of the symbol itself, reached from a seed deep in Re < 0
+        with pytest.raises(DomainError, match="overflows"):
+            laplace_symbol(narrow_two_stream(), 1, -9.0 + 0.0j)
+        with pytest.raises(RootConvergenceError, match="overflows"):
+            find_root(narrow_two_stream(), 1, -9.0 + 0.0j)
 
 
 class TestReport:

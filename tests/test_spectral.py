@@ -7,6 +7,7 @@ from vpdamp.spectral import (
     ResolutionError,
     SpectralState,
     eta_derivative,
+    eta_tables,
     from_eta,
     oscillatory_moment,
     required_nv,
@@ -112,6 +113,40 @@ class TestTransform:
         g = Grid(k_max=1, V=6.0, N_v=64)
         st = SpectralState.zeros(g)
         assert np.all(to_eta(st, 0) == 0.0)
+
+
+class TestEtaTables:
+    @pytest.mark.parametrize("k_max, n_v", [(2, 256), (3, 1000), (8, 2048), (16, 2048)])
+    def test_rows_equal_per_mode_transforms(self, k_max, n_v):
+        g = Grid(k_max=k_max, V=8.0, N_v=n_v)
+        st = decayed_state(g, seed=k_max)
+        ghat, dghat = eta_tables(st)
+        for i, k in enumerate(g.modes):
+            assert np.array_equal(ghat[i], to_eta(st, int(k)))
+            assert np.array_equal(dghat[i], eta_derivative(st, int(k)))
+
+    def test_boundary_error_names_first_mode(self):
+        g = Grid(k_max=3, V=10.0, N_v=64)
+        st = decayed_state(g, seed=3)
+        st.data[g.mode_index(2), -1] = 1e-3
+        st.data[g.mode_index(-1), 0] = 1e-4
+        expected = None
+        for k in g.modes:
+            try:
+                to_eta(st, int(k))
+            except BoundaryDecayError as exc:
+                expected = str(exc)
+                break
+        assert "k=-1" in expected
+        with pytest.raises(BoundaryDecayError) as err:
+            eta_tables(st)
+        assert str(err.value) == expected
+
+    def test_zero_state(self):
+        g = Grid(k_max=2, V=6.0, N_v=64)
+        ghat, dghat = eta_tables(SpectralState.zeros(g))
+        assert ghat.shape == dghat.shape == (g.n_modes, g.N_v)
+        assert np.all(ghat == 0.0) and np.all(dghat == 0.0)
 
 
 class TestMoment:

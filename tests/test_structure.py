@@ -31,3 +31,14 @@ def test_no_direct_convolution(path):
     calls = [f"line {node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "convolve"]
     assert not calls, f"{path.name} uses np.convolve: {calls}"
+
+
+def test_norms_use_batched_eta_tables():
+    # to_eta and eta_derivative check the whole state's boundary on every call;
+    # the norms build each snapshot's tables once, through spectral.eta_tables.
+    path = Path(vpdamp.__file__).parent / "norms.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    calls = [f"line {n}: {name}" for n, name in names if name in ("to_eta", "eta_derivative")]
+    assert not calls, f"norms.py transforms mode by mode: {calls}"
