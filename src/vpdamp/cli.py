@@ -46,10 +46,10 @@ t,k,re_rho,im_rho,abs_E, and `snapshot_NNNNNN.bin` the binary states
 t, then the row-major complex64 mode table).
 
 Exit codes: 0 success, 2 inconclusive diagnostics, 1 error.  Flags
---config/--out/--threads/--seed; environment variables VPDAMP_CONFIG,
-VPDAMP_OUT, VPDAMP_THREADS, VPDAMP_SEED supply defaults for the
-matching flags (explicit flags win).  --seed applies to random initial
-data only.  Reruns with the same config are byte-identical.
+--config/--out/--seed; environment variables VPDAMP_CONFIG, VPDAMP_OUT,
+VPDAMP_SEED supply defaults for the matching flags (explicit flags win).
+--seed applies to random initial data only.  Reruns with the same config
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -490,7 +490,6 @@ def read_snapshot(path):
 @dataclass(frozen=True)
 class _Options:
     out_dir: Path
-    threads: int
     seed: int
 
 
@@ -501,9 +500,9 @@ def _prepare(cfg: ExperimentConfig, opts: _Options) -> str:
     return h
 
 
-def _fit_or_none(trace: DensityTrace, window=None):
+def _fit_or_none(trace: DensityTrace):
     try:
-        fit = fit_decay(trace, gamma=1.0, window=window)
+        fit = fit_decay(trace, gamma=1.0)
     except ValueError:
         return None
     return {"rate": fit.rate, "log_amplitude": fit.log_amplitude,
@@ -570,8 +569,7 @@ def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> int:
     modes = cfg.run_modes(opts.seed)
     rc = RunConfig(eq=cfg.equilibrium(), grid=cfg.grid(), dt=cfg.dt,
                    t_final=cfg.t_final, modes=modes, trace_stride=cfg.trace_stride,
-                   snapshot_stride=cfg.snapshot_stride, threads=opts.threads,
-                   profile=cfg.profile())
+                   snapshot_stride=cfg.snapshot_stride, profile=cfg.profile())
     out = run(rc)
     if "csv" in cfg.formats:
         _write_trace_csv(opts.out_dir / "traces.csv", h,
@@ -587,7 +585,6 @@ def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> int:
     payload.update({
         "equilibrium": rc.eq.name,
         "modes": [[int(k), off, amp] for (k, amp, off) in modes],
-        "threads": opts.threads,
         "seed": opts.seed if cfg.random_modes else None,
         "n_steps": rc.n_steps,
         "conservation": {
@@ -611,8 +608,7 @@ def _cmd_echo(cfg: ExperimentConfig, opts: _Options) -> int:
     _prepare(cfg, opts)
     rc = RunConfig(eq=cfg.equilibrium(), grid=cfg.grid(), dt=cfg.dt,
                    t_final=cfg.t_final, modes=cfg.run_modes(opts.seed),
-                   trace_stride=cfg.trace_stride, threads=opts.threads,
-                   profile=cfg.profile())
+                   trace_stride=cfg.trace_stride, profile=cfg.profile())
     rep = echo_experiment(rc)
     payload = _summary_head("echo", cfg)
     payload.update({
@@ -761,8 +757,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the experiment config "
                        "(or set VPDAMP_CONFIG)")
         p.add_argument("--out", help="output directory override (or VPDAMP_OUT)")
-        p.add_argument("--threads", type=int, help="thread count, validated and "
-                       "recorded in the summary; the solver is serial (or VPDAMP_THREADS)")
         p.add_argument("--seed", type=int, help="RNG seed; random initial data "
                        "only (or VPDAMP_SEED)")
     return parser
@@ -788,16 +782,11 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
 
-    threads = args.threads if args.threads is not None else _env("THREADS")
     seed = args.seed if args.seed is not None else _env("SEED")
     try:
-        threads = 1 if threads is None else int(threads)
         seed = 0 if seed is None else int(seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     seed_given = args.seed is not None or _env("SEED") is not None
     if seed_given and cfg.random_modes == 0:
@@ -806,7 +795,7 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = Path(args.out or _env("OUT") or cfg.out_dir)
-    opts = _Options(out_dir=out_dir, threads=threads, seed=seed)
+    opts = _Options(out_dir=out_dir, seed=seed)
     try:
         return _COMMANDS[args.command](cfg, opts)
     except Exception as exc:  # surface solver refusals as clean CLI errors

@@ -354,26 +354,18 @@ def local_maxima(mag: np.ndarray) -> np.ndarray:
     return np.flatnonzero(interior) + 1
 
 
-def solve_via_kernel(source_values, kernel: ResolventKernel,
-                     times=None, k=None) -> DensityTrace:
-    """Density from the explicit solution rho = S + K * S (trapezoid).
+def solve_via_kernel(source: DensityTrace, kernel: ResolventKernel) -> DensityTrace:
+    """Density of mode kernel.k from the explicit solution rho = S + K * S (trapezoid).
 
-    source_values may be a DensityTrace-like object carrying (times,
-    values) for the source, or a plain array with `times` supplied; the
-    grids must match the kernel's uniform grid.  The convolution is one
-    zero-padded FFT product, O(N log N).
+    The source trace's grid must match the kernel's uniform grid.  The
+    convolution is one zero-padded FFT product, O(N log N).
     """
-    if hasattr(source_values, "values") and hasattr(source_values, "times"):
-        S = np.asarray(source_values.values, dtype=complex)
-        t = np.asarray(source_values.times, dtype=float)
-    else:
-        S = np.asarray(source_values, dtype=complex)
-        t = np.asarray(times, dtype=float)
+    S = np.asarray(source.values, dtype=complex)
+    t = np.asarray(source.times, dtype=float)
     if t.shape != kernel.times.shape or np.max(np.abs(t - kernel.times)) > 1e-12:
         raise ValueError("source and kernel must share one time grid")
-    dt = float(t[1] - t[0])
-    conv = trapezoid_convolve(np.asarray(kernel.values, dtype=complex), S, dt)
-    return DensityTrace(k=k if k is not None else kernel.k, times=t, values=S + conv)
+    conv = trapezoid_convolve(np.asarray(kernel.values, dtype=complex), S, source.dt)
+    return DensityTrace(k=kernel.k, times=t, values=S + conv)
 
 
 @dataclass(frozen=True)

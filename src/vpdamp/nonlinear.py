@@ -51,7 +51,6 @@ class RunConfig:
     quadratic_term: bool = True
     trace_stride: int = 1
     snapshot_stride: int = 0
-    threads: int = 1  # validated and recorded; the stepper is serial
     profile: Optional[Equilibrium] = None  # data envelope; defaults to eq
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class RunConfig:
                 raise ValueError("mode amplitudes and offsets must be finite")
         if self.trace_stride < 1 or self.snapshot_stride < 0:
             raise ValueError("trace_stride >= 1 and snapshot_stride >= 0 required")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -226,14 +223,13 @@ class _Engine:
         return drift
 
 
-def step(state: SpectralState, eq: Equilibrium, dt: float, *, linear_term: bool = True,
-         quadratic_term: bool = True) -> SpectralState:
+def step(state: SpectralState, eq: Equilibrium, dt: float) -> SpectralState:
     """One classical 4-stage step from state.t; a non-real state is refused, not mirrored."""
     err = state.reality_error()
     if err > 1e-12:
         raise ValueError(f"state.reality_error() = {err:.3e} exceeds 1e-12; need g_-k = conj(g_k)")
     data = state.data.astype(np.complex128)
-    _Engine(state.grid, eq, linear_term, quadratic_term).rk4(data, state.t, dt)
+    _Engine(state.grid, eq, True, True).rk4(data, state.t, dt)
     return SpectralState(state.grid, data, state.t + dt)
 
 

@@ -230,9 +230,9 @@ def snapshot_density(output, t: float):
     raise ValueError(f"traces were not recorded at snapshot time t = {t:g}")
 
 
-def norm_profile(output, params: WeightParams, z_grid=None) -> NormProfile:
-    """Tabulate G and F over the run's snapshots and the z-grid."""
-    zs = params.z_grid if z_grid is None else _as_float_array(z_grid)
+def norm_profile(output, params: WeightParams) -> NormProfile:
+    """Tabulate G and F over the run's snapshots and params.z_grid."""
+    zs = params.z_grid
     grid = output.config.grid
     times = np.array([s.t for s in output.snapshots])
     G = np.empty((times.size, zs.size))
@@ -260,11 +260,11 @@ class FG1Report:
     n_samples: int
 
 
-def check_FG1(output, params: WeightParams, z_grid=None) -> FG1Report:
+def check_FG1(output, params: WeightParams) -> FG1Report:
     """fit_FG1 on the norm profile of the run's snapshots."""
     if len(output.snapshots) < 3:
         raise ValueError("need at least 3 snapshots for centered time differencing")
-    return fit_FG1(norm_profile(output, params, z_grid))
+    return fit_FG1(norm_profile(output, params))
 
 
 def fit_FG1(prof: NormProfile) -> FG1Report:
@@ -329,19 +329,14 @@ class ContractionReport:
     first_failure: Optional[float]
 
 
-def check_contraction(output, params: WeightParams, C0: float,
-                      f_scale: float = 1.0) -> ContractionReport:
-    """Check the radius schedule absorbs the density forcing at every time.
-
-    f_scale multiplies F and exists for negative controls; physical use
-    leaves it at 1.
-    """
+def check_contraction(output, params: WeightParams, C0: float) -> ContractionReport:
+    """Check the radius schedule absorbs the density forcing at every time."""
     times = output.times
     ok = np.empty(times.size, dtype=bool)
     for i, t in enumerate(times):
         lam = float(radius(t, params))
         rho = {k: tr.values[i] for k, tr in output.traces.items()}
-        f = f_scale * gen_F(rho, float(t), lam, params)
+        f = gen_F(rho, float(t), lam, params)
         ok[i] = float(radius_derivative(t, params)) + C0 * (1.0 + float(t)) * f <= 0.0
     bad = np.flatnonzero(~ok)
     first = float(times[bad[0]]) if bad.size else None
@@ -402,10 +397,10 @@ class PropagatorFit:
 
 def check_propagator(k: int, times: np.ndarray, rho_values: np.ndarray,
                      source_values: np.ndarray, theta1: float,
-                     params: WeightParams, z_grid=None) -> PropagatorFit:
+                     params: WeightParams) -> PropagatorFit:
     """Fit the smallest C with
     F[rho](t,z) <= F[S](t,z) + C int_0^t e^{-theta1 (t-s)/4} F[S](s,z) ds
-    over the trace grid and every z in the grid not exceeding theta1/2.
+    over the trace grid and every z in params.z_grid not exceeding theta1/2.
     """
     times = _as_float_array(times)
     rho_values = np.asarray(rho_values)
@@ -413,8 +408,7 @@ def check_propagator(k: int, times: np.ndarray, rho_values: np.ndarray,
     if times.ndim != 1 or rho_values.shape != times.shape or \
             source_values.shape != times.shape:
         raise ValueError("times, rho_values, source_values need matching shapes")
-    zs = params.z_grid if z_grid is None else _as_float_array(z_grid)
-    zs = zs[zs <= theta1 / 2.0 + 1e-15]
+    zs = params.z_grid[params.z_grid <= theta1 / 2.0 + 1e-15]
     if zs.size == 0:
         raise ValueError(f"no z-grid points inside [0, theta1/2] = [0, {theta1 / 2:g}]")
     if times.size < 2:

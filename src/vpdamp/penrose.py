@@ -299,30 +299,29 @@ def strip_width(eq: Equilibrium, k_max_scan: int = 4) -> float:
     Bisection to tolerance 1e-3, each probe certified by winding numbers
     over k up to max(k_max_scan, k_tail_threshold - 1); beyond that the
     envelope keeps |L| <= 1/2 throughout the strip so no zeros exist.
-    Raises NoStableStripError when the stability margin vanishes.
+    Raises NoStableStripError when a zero sits in the closed right
+    half-plane (found by the theta = 0 windings once the widest probe
+    fails) or the bisection finds no strip.
     """
-    m = margin(eq, k_max_scan=k_max_scan, omega_max=30.0, n_omega=2001)
-    if m.kappa0 <= 0.0:
-        raise NoStableStripError(
-            f"{eq.name} has zeros in the closed right half-plane "
-            f"(first at k = {m.k_at_min}); no stable strip exists"
-        )
     ks = range(1, max(k_max_scan, k_tail_threshold(eq) - 1) + 1)
     b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
 
-    def zero_free(theta: float) -> bool:
-        for k in ks:
-            if count_zeros(eq, k, (-theta * k, b, 40.0)) != 0:
-                return False
-        return True
+    def first_winding(theta: float) -> Optional[int]:
+        return next((k for k in ks if count_zeros(eq, k, (-theta * k, b, 40.0)) != 0), None)
 
     hi = 0.5 * eq.theta0
-    if zero_free(hi):
+    if first_winding(hi) is None:
         return hi
+    k0 = first_winding(0.0)
+    if k0 is not None:
+        raise NoStableStripError(
+            f"{eq.name} has zeros in the closed right half-plane "
+            f"(first at k = {k0}); no stable strip exists"
+        )
     lo = 0.0
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if zero_free(mid):
+        if first_winding(mid) is None:
             lo = mid
         else:
             hi = mid
@@ -432,13 +431,13 @@ class DispersionReport:
 
 
 def full_report(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
-                n_omega: int = 10001, root_modes=(1, 2)) -> DispersionReport:
-    """Run margin, strip width, and root location; collect one report."""
+                n_omega: int = 10001) -> DispersionReport:
+    """Run margin, strip width, and the k = 1, 2 root location; collect one report."""
     m = margin(eq, k_max_scan=k_max_scan, omega_max=omega_max, n_omega=n_omega)
     roots = list(m.offenders)
     if m.kappa0 > 0.0:
         theta1 = strip_width(eq, k_max_scan=k_max_scan)
-        for k in root_modes:
+        for k in (1, 2):
             try:
                 lam, res = landau_root(eq, k)
             except (RootConvergenceError, DomainError):

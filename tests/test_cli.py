@@ -1,8 +1,11 @@
 """Config parsing, artifact formats, exit codes, and rerun determinism."""
 
+import argparse
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +291,7 @@ class TestNonlinearCommand:
         assert rep["conservation"]["reality_drift_max"] < 1e-12
         assert rep["fits"]["1"]["rate"] > 0
         assert rep["seed"] is None and rep["n_snapshots"] == 5
+        assert "threads" not in rep
 
     def test_rerun_is_byte_identical(self, run_dir):
         tmp, path = run_dir
@@ -418,9 +422,10 @@ class TestExitCodesAndFlags:
         assert cli.main(["nonlinear", "--config", str(path), "--seed", "7"]) == 1
         assert "random initial data only" in capsys.readouterr().err
 
-    def test_threads_must_be_positive(self, tmp_path):
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
-        assert cli.main(["penrose", "--config", str(path), "--threads", "0"]) == 1
+        assert cli.main(["penrose", "--config", str(path), "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -470,3 +475,26 @@ class TestSeedAndEnv:
                          "--out", str(tmp_path / "flagdir")]) == 0
         assert (tmp_path / "flagdir" / "penrose.json").exists()
         assert not (tmp_path / "envdir").exists()
+
+
+class TestReadmeMatchesCli:
+    """README's usage line and environment variables track the parser: a stale flag fails."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_usage_line_lists_every_subcommand_flag(self):
+        usage = re.search(r"^vpdamp <subcommand> (.*)$", self.README.read_text(), re.M)
+        documented = set(re.findall(r"--[a-z][a-z-]*", usage.group(1)))
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            flags = {f for a in parser._actions for f in a.option_strings
+                     if f.startswith("--") and f != "--help"}
+            assert flags == documented, name
+
+    def test_environment_variables_match_env_calls(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = {cli.ENV_PREFIX + node.args[0].value for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_env"}
+        assert set(re.findall(r"VPDAMP_[A-Z]+", self.README.read_text())) == read
+        assert set(re.findall(r"VPDAMP_[A-Z]+", cli.__doc__)) == read

@@ -336,7 +336,8 @@ class TestKernelRoute:
         t = 1e-2 * np.arange(101)
         ker = resolvent_kernel(STUB, 1, 0.25, 50.0, 256, t)
         with pytest.raises(ValueError, match="time grid"):
-            solve_via_kernel(np.zeros(51, complex), ker, times=1e-2 * np.arange(51))
+            solve_via_kernel(DensityTrace(k=1, times=1e-2 * np.arange(51),
+                                          values=np.zeros(51, complex)), ker)
 
 
 class TestFitDecay:

@@ -72,11 +72,15 @@ class TestConfig:
         (dict(modes=((1, np.inf, 0.0),)), "finite"),
         (dict(trace_stride=0), "trace_stride"),
         (dict(snapshot_stride=-1), "snapshot_stride"),
-        (dict(threads=0), "threads"),
     ])
     def test_rejects(self, kw, msg):
         with pytest.raises(ValueError, match=msg):
             self.base(**kw)
+
+    def test_no_threads_setting(self):
+        # the stepper is serial; a thread count would change no number
+        with pytest.raises(TypeError, match="threads"):
+            self.base(threads=2)
 
 
 class TestStateSetup:
@@ -186,13 +190,6 @@ class TestTimeStepper:
         bad.data[GRID.mode_index(-1)] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match=r"reality_error\(\)"):
             step(bad, EQ, 1e-2)
-
-    def test_threads_do_not_change_bits(self):
-        base = dict(eq=EQ, grid=GRID, dt=1e-3, t_final=2.0,
-                    modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
-        one = run(RunConfig(**base))
-        two = run(RunConfig(**base, threads=2))
-        assert np.array_equal(one.final_state.data, two.final_state.data)
 
 
 class TestRhsOracle:

@@ -1,5 +1,6 @@
 """Tests for the generator-function norms and inequality checks."""
 
+import dataclasses
 import math
 import types
 
@@ -353,7 +354,7 @@ class TestContraction:
         cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=2.0, modes=((1, 1e-7, 0.0),),
                         quadratic_term=False)
         out = run(cfg)
-        rep = check_contraction(out, PARAMS, C0=72.0, f_scale=1e6)
+        rep = check_contraction(out, PARAMS, C0=72.0 * 1e6)
         assert not rep.satisfied.all()
         assert rep.first_failure == 0.0
 
@@ -542,5 +543,5 @@ class TestPropagator:
     def test_requires_reachable_z(self):
         t = np.linspace(0, 1, 11)
         with pytest.raises(ValueError, match="theta1/2"):
-            check_propagator(1, t, np.zeros(11), np.zeros(11), 0.5, PARAMS,
-                             z_grid=np.array([0.3, 0.4]))
+            check_propagator(1, t, np.zeros(11), np.zeros(11), 0.5,
+                             dataclasses.replace(PARAMS, z_grid=np.array([0.3, 0.35, 0.4])))

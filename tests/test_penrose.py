@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vpdamp.equilibria import gaussian, two_stream, zero
+from vpdamp.linear import contour_parameters
 from vpdamp.penrose import (
     ContourError,
     DomainError,
@@ -217,6 +218,25 @@ class TestReport:
     def test_k_tail_threshold_value(self):
         # ceil(sqrt(8 e^{1/2})) = ceil(3.63...) = 4
         assert k_tail_threshold(gaussian()) == 4
+
+
+class TestUnstableBranch:
+    """The refusals for an equilibrium with a growing mode, on narrow_two_stream."""
+
+    def test_strip_width_names_the_winding_mode(self):
+        with pytest.raises(NoStableStripError, match="first at k = 1"):
+            strip_width(narrow_two_stream())
+
+    def test_contour_parameters_refuses_through_certified_strip(self):
+        with pytest.raises(NoStableStripError, match="first at k = 1"):
+            contour_parameters(narrow_two_stream(), 1, 10.0)
+
+    def test_full_report_records_the_offender(self):
+        rep = full_report(narrow_two_stream())
+        assert rep.kappa0 == 0.0 and rep.theta1 == 0.0
+        assert [k for k, _, _ in rep.roots] == [1]
+        lam = rep.roots[0][1]
+        assert abs(lam.real - NARROW_ROOT_K1) < 1e-6 and abs(lam.imag) < 1e-6
 
 
 class TestStripEnvelope:
