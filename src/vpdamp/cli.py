@@ -2,7 +2,9 @@
 
 Configs are INI documents with six sections.  Every key has a documented
 default; unknown sections or keys are rejected, and validation reports
-every violation at once rather than stopping at the first.
+every violation at once rather than stopping at the first.  The [time]
+and N_v rules (T >= 0 a whole number of at most 1e7 steps dt; the
+resolution rule) are spectral.time_steps and spectral.check_resolution.
 
     [equilibrium]
     name = gaussian            # gaussian | two_stream | zero
@@ -43,7 +45,9 @@ itself, `<command>.json` the versioned summary (floats with 17
 significant digits), `traces.csv` the density traces with columns
 t,k,re_rho,im_rho,abs_E, and `snapshot_NNNNNN.bin` the binary states
 (64 ASCII hex hash, then little-endian header `<iidd` = k_max, N_v, V,
-t, then the row-major complex64 mode table).
+t, then the row-major complex64 mode table).  The closure residual is
+null unless every step is both traced and snapshotted; `norms` reads the
+stored run back as a nonlinear.RunRecord.
 
 Exit codes: 0 success, 2 inconclusive diagnostics, 1 error.  Flags
 --config/--out/--seed; environment variables VPDAMP_CONFIG, VPDAMP_OUT,
@@ -64,19 +68,19 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .equilibria import Equilibrium, gaussian, two_stream, zero
 from .linear import DensityTrace, cosine_initial_hat, fit_decay, source_from_initial, volterra_solve
-from .nonlinear import RunConfig, Snapshot, closure_residual, echo_experiment, run
+from .nonlinear import (MissingSnapshotsError, RunConfig, RunRecord, Snapshot,
+                        closure_residual, echo_experiment, run)
 from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
                     eta_tail_fraction, fit_FG1, norm_profile, radius, snapshot_density)
 from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
 from .penrose import full_report
-from .spectral import Grid, required_nv
+from .spectral import Grid, check_resolution, record_steps, required_nv, time_steps
 
 FORMAT_VERSION = 1
 ENV_PREFIX = "VPDAMP_"
@@ -184,6 +188,12 @@ def parse(text: str) -> ExperimentConfig:
             return cp.get(sec, key).strip()
         return default
 
+    def check(sec, rule, *args):
+        try:
+            rule(*args)
+        except ValueError as exc:
+            bad.extend(f"[{sec}] {part}" for part in str(exc).split("; "))
+
     def take(sec, key, cast, default, kind):
         s = raw(sec, key)
         if s is None:
@@ -224,41 +234,28 @@ def parse(text: str) -> ExperimentConfig:
         bad.append(f"[grid] k_max: need k_max >= 1, got {k_max}")
     if not (V > 0 and math.isfinite(V)):
         bad.append(f"[grid] V: need V > 0 and finite, got {V}")
-    if dt <= 0 or not math.isfinite(dt):
-        bad.append(f"[time] dt: need dt > 0, got {dt}")
-    if T <= 0 or not math.isfinite(T):
-        bad.append(f"[time] T: need T > 0, got {T}")
-    elif dt > 0 and math.isfinite(dt):
-        n = T / dt
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            bad.append(f"[time] T: need T an integer multiple of dt, got T/dt = {n!r}")
+    check("time", time_steps, dt, T)
     if stride < 1:
         bad.append(f"[time] stride: need stride >= 1, got {stride}")
     if snap_stride < 0:
         bad.append(f"[time] snapshot_stride: need snapshot_stride >= 0, got {snap_stride}")
 
-    grid_ok = (k_max >= 1 and V > 0 and math.isfinite(V) and dt > 0
-               and T > 0 and math.isfinite(T))
+    grid_ok = k_max >= 1 and V > 0 and math.isfinite(V) and T >= 0 and math.isfinite(T)
     if N_v == 0 and grid_ok:
         need = required_nv(V, k_max, T)
         N_v = max(256, need + need % 2)
     if N_v < 2 or N_v % 2 != 0:
         if N_v != 0 or grid_ok:  # auto N_v left unresolved is not the user's fault
             bad.append(f"[grid] N_v: need N_v even and >= 2, got {N_v}")
-    elif grid_ok and N_v < required_nv(V, k_max, T):
-        bad.append(f"[grid] N_v: need N_v >= 2*V*k_max*T/pi + 1 = "
-                   f"{required_nv(V, k_max, T)} to resolve density phases up to "
-                   f"T = {T:g}, got {N_v}")
+    elif grid_ok:
+        check("grid", check_resolution, V, k_max, N_v, T)
 
     gamma = take("weights", "gamma", float, 1.0, "a number")
     sigma = take("weights", "sigma", float, 3.2, "a number")
     delta = take("weights", "delta", float, 0.1, "a number")
     lam0 = take("weights", "lambda0", float, 0.05, "a number")
     lam1 = take("weights", "lambda1", float, 0.2, "a number")
-    try:
-        WeightParams(gamma=gamma, sigma=sigma, delta=delta, lam0=lam0, lam1=lam1)
-    except ValueError as exc:
-        bad.extend(f"[weights] {part}" for part in str(exc).split("; "))
+    check("weights", WeightParams, gamma, sigma, delta, lam0, lam1)
 
     random_modes = take("initial-data", "random_modes", int, 0, "an integer")
     random_amp = take("initial-data", "random_amplitude", float, 1e-3, "a number")
@@ -544,9 +541,7 @@ def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> int:
         traces[k] = trace
         fits[str(k)] = _fit_or_none(trace)
     times = traces[ks[0]].times
-    idx = list(range(0, times.size, cfg.trace_stride))
-    if idx[-1] != times.size - 1:
-        idx.append(times.size - 1)
+    idx = record_steps(times.size - 1, cfg.trace_stride)
     if "csv" in cfg.formats:
         _write_trace_csv(opts.out_dir / "traces.csv", h,
                          {k: tr.values[idx] for k, tr in traces.items()}, times[idx])
@@ -577,9 +572,10 @@ def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> int:
     if "snapshots" in cfg.formats:
         for i, snap in enumerate(out.snapshots):
             write_snapshot(opts.out_dir / f"snapshot_{i:06d}.bin", h, rc.grid, snap)
-    closure = None
-    if cfg.snapshot_stride == 1:
+    try:
         closure = closure_residual(out)
+    except MissingSnapshotsError:
+        closure = None
     cons = out.conservation
     payload = _summary_head("nonlinear", cfg)
     payload.update({
@@ -622,17 +618,7 @@ def _cmd_echo(cfg: ExperimentConfig, opts: _Options) -> int:
     return 2 if rep.inconclusive else 0
 
 
-@dataclass(frozen=True)
-class _StoredRun:
-    """Duck-typed stand-in for RunOutput rebuilt from on-disk artifacts."""
-
-    config: object
-    times: np.ndarray
-    traces: dict
-    snapshots: list
-
-
-def _load_run(cfg: ExperimentConfig, directory: Path) -> _StoredRun:
+def _load_run(cfg: ExperimentConfig, directory: Path) -> RunRecord:
     h = config_hash(cfg)
     trace_path = directory / "traces.csv"
     if not trace_path.exists():
@@ -655,8 +641,7 @@ def _load_run(cfg: ExperimentConfig, directory: Path) -> _StoredRun:
         raise FileNotFoundError(f"no snapshot files in {directory}; rerun the "
                                 "nonlinear subcommand with formats = csv,json,snapshots")
     traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
-    return _StoredRun(config=SimpleNamespace(grid=grid), times=times,
-                      traces=traces, snapshots=snaps)
+    return RunRecord(grid=grid, times=times, traces=traces, snapshots=snaps)
 
 
 def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
@@ -675,7 +660,7 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
 
     fg1 = fit_FG1(profile)
     contraction = check_contraction(stored, params, C0=fg1.C0)
-    grid = cfg.grid()
+    grid = stored.grid
     pick = np.unique(np.linspace(0, len(stored.snapshots) - 1,
                                  min(len(stored.snapshots), 16)).astype(int))
     sqrt_rows = []

@@ -34,7 +34,7 @@ import numpy as np
 from .equilibria import Equilibrium
 from .penrose import laplace_symbol, strip_width
 from .spectral import (SpectralState, chirp_sum, fft_convolve, oscillatory_moment,
-                       trapezoid_convolve)
+                       time_steps, trapezoid_convolve)
 
 TRACE_FLOOR = 1e-14
 EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
@@ -107,21 +107,10 @@ def cosine_initial_hat(eq: Equilibrium, modes) -> Callable:
     return hat0
 
 
-def _time_grid(dt: float, T: float) -> np.ndarray:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = T / dt
-    N = int(round(n))
-    if abs(n - N) > 1e-9 * max(1.0, n):
-        raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
-    if N > 10**7:
-        raise ValueError(f"{N} steps exceed the 1e7 step limit")
-    return dt * np.arange(N + 1)
-
-
 def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> DensityTrace:
     """Solve the density equation rho + kernel * rho = S with product trapezoid.
 
+    source maps the time grid 0, dt, ..., T to the samples S_k(t_n).
     The memory kernel kappa(tau) = tau mu_hat(k tau) is evaluated in
     closed form on the grid; history weights are trapezoidal.  Since
     kappa(0) = 0 the discrete system is explicit:
@@ -131,9 +120,11 @@ def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> Dens
     history sums carry e^{sigma t}, sigma = min(1, theta0 |k|) (a bounded
     weighted kernel) with sigma T <= EXP_CAP.
     """
-    times = _time_grid(dt, T)
+    times = dt * np.arange(time_steps(dt, T) + 1)
     kappa = times * np.asarray(eq.mu_hat(k * times), dtype=float)
-    rho = np.array(_source_samples(source, k, times), dtype=complex)
+    rho = np.array(source(times), dtype=complex)
+    if rho.shape != times.shape:
+        raise ValueError("source callable must return one value per time")
     rho[1:] -= 0.5 * dt * kappa[1:] * rho[0]
     weight = np.exp(min(1.0, eq.theta0 * abs(k), EXP_CAP / max(T, dt)) * times)
     _solve_block(kappa, rho, dt, weight, 1, times.size)
@@ -158,16 +149,6 @@ def _solve_block(kappa, rho, dt, weight, lo, hi):
     hist = fft_convolve(rho[lo:mid] * weight[: mid - lo], kappa[:span] * weight[:span], span)
     rho[mid:hi] -= dt * hist[mid - lo :] / weight[mid - lo : span]
     _solve_block(kappa, rho, dt, weight, mid, hi)
-
-
-def _source_samples(source, k: int, times: np.ndarray) -> np.ndarray:
-    if isinstance(source, SpectralState):
-        return np.asarray(source_from_initial(source, k, times), dtype=complex)
-    out = source(times)
-    out = np.asarray(out, dtype=complex)
-    if out.shape != times.shape:
-        raise ValueError("source callable must return one value per time")
-    return out
 
 
 @dataclass(frozen=True)
@@ -332,10 +313,7 @@ def _fit_kernel_envelope(ak: int, times: np.ndarray, values: np.ndarray):
     if scale == 0.0:
         return 0.0, 1.0
     usable = mag > max(TRACE_FLOOR, 1e-12 * scale)
-    idx = local_maxima(mag)
-    idx = idx[usable[idx]] if idx.size else idx
-    if idx.size < 8:
-        idx = np.flatnonzero(usable)
+    idx = _envelope_indices(mag, usable)
     y = np.log(mag[idx])
     xm = ak * times[idx]
     A = np.column_stack([np.ones(xm.size), -xm])
@@ -344,6 +322,13 @@ def _fit_kernel_envelope(ak: int, times: np.ndarray, values: np.ndarray):
     sel = np.flatnonzero(usable)
     C_fit = float(np.max(mag[sel] * np.exp(theta_fit * ak * times[sel])))
     return C_fit, theta_fit
+
+
+def _envelope_indices(mag: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """Usable local maxima of mag, or every usable sample if fewer than 8 are."""
+    idx = local_maxima(mag)
+    idx = idx[usable[idx]]
+    return idx if idx.size >= 8 else np.flatnonzero(usable)
 
 
 def local_maxima(mag: np.ndarray) -> np.ndarray:
@@ -396,13 +381,7 @@ def fit_decay(trace: DensityTrace, gamma: float = 1.0, window=None,
     mask = (t >= window[0]) & (t <= window[1]) & (mag > TRACE_FLOOR)
     if use_envelope is None:
         use_envelope = gamma == 1.0
-    if use_envelope:
-        idx = local_maxima(mag)
-        idx = idx[mask[idx]] if idx.size else idx
-        if idx.size < 8:
-            idx = np.flatnonzero(mask)
-    else:
-        idx = np.flatnonzero(mask)
+    idx = _envelope_indices(mag, mask) if use_envelope else np.flatnonzero(mask)
     if idx.size < 8:
         raise ValueError(f"only {idx.size} usable points in window {window}; need 8")
     x = t[idx] ** gamma

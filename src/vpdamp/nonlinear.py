@@ -24,8 +24,8 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .linear import DensityTrace, cosine_initial_hat, local_maxima
-from .spectral import (Grid, SpectralState, phase_rows, phase_sum, required_nv,
-                       trapezoid_convolve)
+from .spectral import (Grid, SpectralState, check_resolution, phase_rows, phase_sum,
+                       record_steps, time_steps, trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
 
@@ -54,19 +54,8 @@ class RunConfig:
     profile: Optional[Equilibrium] = None  # data envelope; defaults to eq
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        n = self.t_final / self.dt
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ValueError(f"t_final = {self.t_final} is not an integer multiple of dt")
-        if round(n) > 10**7:
-            raise ValueError("more than 1e7 steps requested")
-        need = required_nv(self.grid.V, self.grid.k_max, self.t_final)
-        if self.grid.N_v < need:
-            raise ValueError(
-                f"N_v = {self.grid.N_v} cannot resolve moments up to "
-                f"t = {self.t_final}; need N_v >= {need}"
-            )
+        time_steps(self.dt, self.t_final)
+        check_resolution(self.grid.V, self.grid.k_max, self.grid.N_v, self.t_final)
         for km, amp, off in self.modes:
             if int(km) <= 0 or int(km) > self.grid.k_max:
                 raise ValueError(f"initial mode k = {km} must lie in 1..{self.grid.k_max}")
@@ -77,7 +66,7 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return time_steps(self.dt, self.t_final)
 
     @property
     def data_profile(self) -> Equilibrium:
@@ -94,11 +83,19 @@ class Snapshot:
 
 
 @dataclass
-class RunOutput:
-    config: RunConfig
+class RunRecord:
+    """What the weighted-norm diagnostics read from a run: a RunOutput, or the
+    CLI's rebuild from stored traces and snapshots."""
+
+    grid: Grid
     times: np.ndarray
     traces: dict  # k > 0 -> DensityTrace
     snapshots: list  # Snapshot, ordered by t, always ends with the final state
+
+
+@dataclass
+class RunOutput(RunRecord):
+    config: RunConfig
     initial_state: SpectralState
     final_state: SpectralState
     conservation: dict  # arrays keyed 't', 'mass_drift', 'l2', 'l2_drift', 'reality_drift', 'dealias'
@@ -243,9 +240,7 @@ def run(config: RunConfig) -> RunOutput:
     N = config.n_steps
     dt = config.dt
 
-    rec_idx = list(range(0, N + 1, config.trace_stride))
-    if rec_idx[-1] != N:
-        rec_idx.append(N)
+    rec_idx = record_steps(N, config.trace_stride)
     rec_set = {n: i for i, n in enumerate(rec_idx)}
     n_rec = len(rec_idx)
     times_rec = dt * np.asarray(rec_idx, dtype=float)
@@ -302,7 +297,7 @@ def run(config: RunConfig) -> RunOutput:
         "dealias": dealias,
     }
     return RunOutput(
-        config=config, times=times_rec, traces=traces, snapshots=snapshots,
+        grid=g, config=config, times=times_rec, traces=traces, snapshots=snapshots,
         initial_state=init, final_state=final, conservation=conservation,
         reality_drift_max=drift_max,
     )
@@ -320,6 +315,7 @@ def closure_residual(output: RunOutput) -> float:
     evolution solved the right equation.  The interaction integral is
     gathered over (k, l) pairs into running (k, velocity) buffers, turning
     the naive cubic sweep into one pass over the snapshots.
+    Raises MissingSnapshotsError unless every step is traced and snapshotted.
     """
     cfg = output.config
     if cfg.trace_stride != 1:

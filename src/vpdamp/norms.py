@@ -231,9 +231,9 @@ def snapshot_density(output, t: float):
 
 
 def norm_profile(output, params: WeightParams) -> NormProfile:
-    """Tabulate G and F over the run's snapshots and params.z_grid."""
+    """Tabulate G and F over a RunRecord's snapshots and params.z_grid."""
     zs = params.z_grid
-    grid = output.config.grid
+    grid = output.grid
     times = np.array([s.t for s in output.snapshots])
     G = np.empty((times.size, zs.size))
     F = np.empty_like(G)

@@ -26,7 +26,10 @@ Resolution rule: extracting the density at time t requires the phase
 e^{-i k t v} to be resolved on the v-grid, i.e. |k t| * dv < pi.  A run up
 to time T with modes |k| <= k_max therefore needs
 
-    N_v >= (2 V / pi) * k_max * T.
+    N_v >= (2 V / pi) * k_max * T,
+
+which `check_resolution` enforces; `time_steps` and `record_steps` own the
+time grid of every run and the steps a trace samples.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BOUNDARY_DECAY_TOL = 1e-12
+MAX_STEPS = 10**7
 
 
 class BoundaryDecayError(ValueError):
@@ -50,6 +54,39 @@ class ResolutionError(ValueError):
 def required_nv(V: float, k_max: int, t_final: float) -> int:
     """Smallest velocity-grid size resolving density phases up to t_final."""
     return int(np.ceil(2.0 * V / np.pi * k_max * t_final)) + 1
+
+
+def check_resolution(V: float, k_max: int, N_v: int, T: float) -> None:
+    """Raise ResolutionError unless N_v resolves density phases of |k| <= k_max up to T."""
+    need = required_nv(V, k_max, T)
+    if N_v < need:
+        raise ResolutionError(f"N_v: need N_v >= 2*V*k_max*T/pi + 1 = {need} to resolve "
+                              f"density phases up to T = {T:g}, got {N_v}")
+
+
+def time_steps(dt: float, T: float) -> int:
+    """Number of steps dt from 0 to T: dt > 0 and T >= 0 finite, T/dt within 1e-9
+    (relative) of an integer, at most MAX_STEPS; the ValueError names every
+    failed condition, joined by "; "."""
+    problems = []
+    if not (dt > 0 and math.isfinite(dt)):
+        problems.append(f"dt: need a positive, finite dt, got {dt}")
+    if not (T >= 0 and math.isfinite(T)):
+        problems.append(f"T: need a finite T >= 0, got {T}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    n = T / dt
+    if not n <= MAX_STEPS:  # also an overflowed T/dt = inf
+        raise ValueError(f"T: T/dt = {n:.6g} exceeds the step limit of 1e7 steps")
+    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ValueError(f"T: need T an integer multiple of dt, got T/dt = {n!r}")
+    return round(n)
+
+
+def record_steps(n_steps: int, stride: int) -> list:
+    """Recorded step indices 0, stride, 2*stride, ..., always ending with n_steps."""
+    steps = list(range(0, n_steps + 1, stride))
+    return steps if steps[-1] == n_steps else steps + [n_steps]
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,13 @@ x = 1
         with pytest.raises(cli.ConfigError, match="integer multiple of dt"):
             cli.parse(MINIMAL + "[time]\ndt = 1e-3\nT = 0.0015\n")
 
+    def test_step_limit_is_a_config_error(self):
+        with pytest.raises(cli.ConfigError, match=r"\[time\] T: .*step limit"):
+            cli.parse(MINIMAL + "[time]\ndt = 1e-9\nT = 100\n")
+
+    def test_zero_final_time_accepted(self):
+        assert cli.parse(MINIMAL + "[time]\nT = 0\n").t_final == 0.0
+
     def test_explicit_nv_below_resolution_rule(self):
         with pytest.raises(cli.ConfigError, match=r"2\*V\*k_max\*T/pi"):
             cli.parse(MINIMAL + "[grid]\nN_v = 64\n[time]\nT = 20.0\ndt = 1e-2\n")
@@ -312,6 +319,20 @@ class TestNonlinearCommand:
             assert grid == cfg.grid()
             ts.append(snap.t)
         assert ts == sorted(ts) and ts[-1] == 2.0
+
+    def test_closure_null_when_traces_are_strided(self, tmp_path):
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=0.1, stride=2,
+                                                  snapshot_stride=1))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        rep = json.loads((tmp_path / "o" / "nonlinear.json").read_text())
+        assert rep["closure_residual"] is None
+
+    def test_closure_reported_whenever_every_step_is_stored(self, tmp_path):
+        # one step: the initial and final snapshots are every state
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=0.01, stride=1))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        rep = json.loads((tmp_path / "o" / "nonlinear.json").read_text())
+        assert rep["n_snapshots"] == 2 and rep["closure_residual"] < 1e-10
 
 
 class TestNormsCommand:

@@ -139,6 +139,11 @@ class TestVolterra:
         with pytest.raises(ValueError, match="step limit"):
             volterra_solve(EQ, 1, src, 1e-8, 200.0)
 
+    def test_negative_final_time_rejected(self):
+        _, src = single_mode_source()
+        with pytest.raises(ValueError, match="T >= 0"):
+            volterra_solve(EQ, 1, src, 1e-2, -1.0)
+
 
 def direct_march(eq, k, source, dt, T):
     """The O(N^2) product-trapezoid march that volterra_solve reorders."""

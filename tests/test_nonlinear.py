@@ -82,6 +82,10 @@ class TestConfig:
         with pytest.raises(TypeError, match="threads"):
             self.base(threads=2)
 
+    def test_negative_final_time_rejected(self):
+        with pytest.raises(ValueError, match="T >= 0"):
+            self.base(t_final=-1.0)
+
 
 class TestStateSetup:
     def test_initial_rows_closed_form(self):

@@ -1,5 +1,6 @@
 """Tests for the generator-function norms and inequality checks."""
 
+import copy
 import dataclasses
 import math
 import types
@@ -9,7 +10,7 @@ import pytest
 
 from vpdamp.equilibria import gaussian
 from vpdamp.linear import cosine_initial_hat, source_from_initial
-from vpdamp.nonlinear import RunConfig, run
+from vpdamp.nonlinear import RunConfig, RunRecord, run
 from vpdamp.norms import (
     NormProfile,
     WeightParams,
@@ -545,3 +546,17 @@ class TestPropagator:
         with pytest.raises(ValueError, match="theta1/2"):
             check_propagator(1, t, np.zeros(11), np.zeros(11), 0.5,
                              dataclasses.replace(PARAMS, z_grid=np.array([0.3, 0.35, 0.4])))
+
+
+class TestRunRecord:
+    def test_copied_record_gives_the_same_diagnostics(self, coupled_run):
+        # the CLI rebuilds only these fields from stored traces and snapshots
+        record = RunRecord(**{f.name: copy.deepcopy(getattr(coupled_run, f.name))
+                              for f in dataclasses.fields(RunRecord)})
+        got, want = norm_profile(record, PARAMS), norm_profile(coupled_run, PARAMS)
+        for f in dataclasses.fields(NormProfile):
+            assert np.all(getattr(got, f.name) == getattr(want, f.name))
+        got = check_contraction(record, PARAMS, C0=72.0)
+        want = check_contraction(coupled_run, PARAMS, C0=72.0)
+        assert np.all(got.times == want.times) and np.all(got.satisfied == want.satisfied)
+        assert got.first_failure == want.first_failure

@@ -6,12 +6,15 @@ from vpdamp.spectral import (
     Grid,
     ResolutionError,
     SpectralState,
+    check_resolution,
     eta_derivative,
     eta_tables,
     from_eta,
     oscillatory_moment,
+    record_steps,
     required_nv,
     state_from_modes,
+    time_steps,
     to_eta,
     trapezoid_convolve,
 )
@@ -217,3 +220,30 @@ class TestTrapezoidConvolve:
         t = 0.05 * np.arange(41)
         got = trapezoid_convolve(t, np.ones_like(t), 0.05)
         assert np.max(np.abs(got - 0.5 * t**2)) < 1e-14
+
+
+class TestRunRules:
+    def test_time_steps(self):
+        assert time_steps(0.1, 1.0) == 10
+        assert time_steps(1e-3, 0.0) == 0  # a one-sample grid
+
+    def test_time_steps_names_every_failure(self):
+        with pytest.raises(ValueError) as err:
+            time_steps(0.0, -1.0)
+        parts = str(err.value).split("; ")
+        assert [p.split(":")[0] for p in parts] == ["dt", "T"]
+        assert "positive" in parts[0] and "T >= 0" in parts[1]
+        for dt, T in ((1e-9, 100.0), (1e-300, 1e300)):  # the second overflows T/dt
+            with pytest.raises(ValueError, match="1e7 steps"):
+                time_steps(dt, T)
+
+    def test_record_steps_end_with_the_last_step(self):
+        assert record_steps(10, 3) == [0, 3, 6, 9, 10]
+        assert record_steps(10, 5) == [0, 5, 10]
+        assert record_steps(0, 4) == [0]
+
+    def test_check_resolution(self):
+        need = required_nv(8.0, 4, 20.0)
+        check_resolution(8.0, 4, need, 20.0)
+        with pytest.raises(ResolutionError, match=r"N_v >= 2\*V\*k_max\*T/pi \+ 1"):
+            check_resolution(8.0, 4, need - 1, 20.0)

@@ -1,11 +1,14 @@
 """Structure checks on the package source."""
 
 import ast
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import vpdamp
+from vpdamp import cli
 
 MODULES = sorted(Path(vpdamp.__file__).parent.glob("*.py"))
 
@@ -42,3 +45,37 @@ def test_norms_use_batched_eta_tables():
              for node in ast.walk(tree) if isinstance(node, ast.Call)]
     calls = [f"line {n}: {name}" for n, name in names if name in ("to_eta", "eta_derivative")]
     assert not calls, f"norms.py transforms mode by mode: {calls}"
+
+
+def _is_step_limit(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float) and node.value == 10**7
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 10
+            and isinstance(node.right, ast.Constant) and node.right.value == 7)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_step_limit_lives_in_spectral(path):
+    # spectral.time_steps owns the step limit; a second copy would drift from it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"line {node.lineno}" for node in ast.walk(tree) if _is_step_limit(node)]
+    if path.name == "spectral.py":
+        assert found, "spectral.py has lost its step limit"
+    else:
+        assert not found, f"{path.name} repeats the 1e7 step limit: {found}"
+
+
+def _parse_documented(block: str):
+    return cli.parse(re.sub(r"\s*[;#].*", "", block))
+
+
+def test_documented_config_blocks_are_the_defaults():
+    # README's ini block and the cli docstring's block show every default
+    defaults = cli.parse("[equilibrium]\nname = gaussian\n")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert _parse_documented(readme.split("```ini\n", 1)[1].split("```", 1)[0]) == defaults
+    lines = cli.__doc__.splitlines()
+    start = lines.index("    [equilibrium]")
+    end = next(i for i in range(start, len(lines)) if lines[i] and not lines[i].startswith(" "))
+    assert _parse_documented(textwrap.dedent("\n".join(lines[start:end]))) == defaults
