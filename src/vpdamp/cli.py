@@ -1,8 +1,9 @@
 """Command line front end: config files in, reproducible artifacts out.
 
-Configs are INI documents with six sections.  Every key has a documented
-default; unknown sections or keys are rejected, and validation reports
-every violation at once rather than stopping at the first.  The [time]
+Configs are INI documents with six sections.  The keys are the rows of
+_KEYS and their defaults the ExperimentConfig field defaults; unknown
+sections or keys are rejected, and validation reports every violation
+at once rather than stopping at the first.  The [time]
 and N_v rules (T >= 0 a whole number of at most 1e7 steps dt; the
 resolution rule) are spectral.time_steps and spectral.check_resolution.
 
@@ -66,7 +67,8 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +87,6 @@ from .spectral import Grid, check_resolution, record_steps, required_nv, time_st
 FORMAT_VERSION = 1
 ENV_PREFIX = "VPDAMP_"
 
-_SCHEMA = {
-    "equilibrium": ("name", "params"),
-    "grid": ("k_max", "V", "N_v"),
-    "time": ("dt", "T", "stride", "snapshot_stride"),
-    "weights": ("gamma", "sigma", "delta", "lambda0", "lambda1"),
-    "initial-data": ("modes", "profile", "random_modes", "random_amplitude"),
-    "output": ("directory", "formats"),
-}
 _EQUILIBRIA = {"gaussian": (gaussian, 0), "two_stream": (two_stream, 1), "zero": (zero, 0)}
 _PROFILES = ("none", "gaussian", "zero")
 _FORMATS = ("csv", "json", "snapshots")
@@ -112,37 +106,34 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description with defaults filled in."""
+    """Fully resolved experiment description; the field defaults are the config defaults."""
 
     eq_name: str
-    eq_params: tuple
-    k_max: int
-    V: float
-    N_v: int
-    dt: float
-    t_final: float
-    trace_stride: int
-    snapshot_stride: int
-    gamma: float
-    sigma: float
-    delta: float
-    lambda0: float
-    lambda1: float
-    modes: tuple  # (k, eta_offset, amplitude) triples, documented order
-    profile_name: str
-    random_modes: int
-    random_amplitude: float
-    out_dir: str
-    formats: tuple
+    eq_params: tuple = ()
+    k_max: int = 4
+    V: float = 8.0
+    N_v: int = 0  # parse resolves 0 from the resolution rule
+    dt: float = 1e-3
+    t_final: float = 10.0
+    trace_stride: int = 1
+    snapshot_stride: int = 0
+    gamma: float = 1.0
+    sigma: float = 3.2
+    delta: float = 0.1
+    lambda0: float = 0.05
+    lambda1: float = 0.2
+    modes: tuple = ((1, 0.0, 1e-3),)  # (k, eta_offset, amplitude) triples, documented order
+    profile_name: str = "none"
+    random_modes: int = 0
+    random_amplitude: float = 1e-3
+    out_dir: str = "out"
+    formats: tuple = ("csv", "json")
 
     def equilibrium(self) -> Equilibrium:
-        make, _ = _EQUILIBRIA[self.eq_name]
-        return make(*self.eq_params)
+        return _EQUILIBRIA[self.eq_name][0](*self.eq_params)
 
     def profile(self):
-        if self.profile_name == "none":
-            return None
-        return _EQUILIBRIA[self.profile_name][0]()
+        return None if self.profile_name == "none" else _EQUILIBRIA[self.profile_name][0]()
 
     def grid(self) -> Grid:
         return Grid(k_max=self.k_max, V=self.V, N_v=self.N_v)
@@ -164,6 +155,114 @@ class ExperimentConfig:
             return tuple(out)
         return tuple((k, amp, off) for (k, off, amp) in self.modes)
 
+    def run_config(self, seed: int, snapshot_stride: int = 0) -> RunConfig:
+        return RunConfig(eq=self.equilibrium(), grid=self.grid(), dt=self.dt,
+                         t_final=self.t_final, modes=self.run_modes(seed),
+                         trace_stride=self.trace_stride, snapshot_stride=snapshot_stride,
+                         profile=self.profile())
+
+
+# ---------------------------------------------------------------------------
+# config keys: a reader turns a key's stripped text into its field's value,
+# or raises ValueError with one message per problem (int and float are
+# described by _KINDS)
+
+_KINDS = {int: "an integer", float: "a number"}
+
+
+class _Partial(ValueError):
+    """A reader's problems, with the value it could still read for the cross-key rules."""
+
+    def __init__(self, problems, value):
+        super().__init__(*problems)
+        self.value = value
+
+
+def _equilibrium_name(text):
+    if not text:
+        raise ValueError("required (gaussian, two_stream, or zero)")
+    if text not in _EQUILIBRIA:
+        raise ValueError(f"unknown equilibrium '{text}' "
+                         f"(choose from {', '.join(sorted(_EQUILIBRIA))})")
+    return text
+
+
+def _params(text):
+    try:
+        return tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ValueError(f"expected comma-separated numbers, got '{text}'") from None
+
+
+def _modes(text):
+    modes, problems = [], []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        nums = part.split(":")
+        if len(nums) != 3:
+            problems.append(f"entry '{part}' is not k:eta_offset:amplitude")
+            continue
+        try:
+            k, off, amp = int(nums[0]), float(nums[1]), float(nums[2])
+        except ValueError:
+            problems.append(f"entry '{part}' has non-numeric fields")
+            continue
+        if not (math.isfinite(off) and math.isfinite(amp)):
+            problems.append(f"entry '{part}' must be finite")
+        modes.append((k, off, amp))
+    if problems:
+        raise _Partial(problems, tuple(modes))
+    return tuple(modes)
+
+
+def _profile(text):
+    if text not in _PROFILES:
+        raise ValueError(f"choose from {', '.join(_PROFILES)}, got '{text}'")
+    return text
+
+
+def _directory(text):
+    if not text:
+        raise ValueError("need a nonempty path")
+    return text
+
+
+def _formats(text):
+    asked = [p.strip() for p in text.split(",") if p.strip()]
+    unknown = [f"unknown format '{f}' (choose from {', '.join(_FORMATS)})"
+               for f in asked if f not in _FORMATS]
+    if unknown:
+        raise ValueError(*unknown)
+    return tuple(f for f in _FORMATS if f in asked)
+
+
+# (section, key, ExperimentConfig field, reader, echo), in echo order
+_KEYS = (
+    ("equilibrium", "name", "eq_name", _equilibrium_name, str),
+    ("equilibrium", "params", "eq_params", _params, lambda ps: ", ".join(map(_fmt, ps))),
+    ("grid", "k_max", "k_max", int, str),
+    ("grid", "V", "V", float, _fmt),
+    ("grid", "N_v", "N_v", int, str),
+    ("time", "dt", "dt", float, _fmt),
+    ("time", "T", "t_final", float, _fmt),
+    ("time", "stride", "trace_stride", int, str),
+    ("time", "snapshot_stride", "snapshot_stride", int, str),
+    ("weights", "gamma", "gamma", float, _fmt),
+    ("weights", "sigma", "sigma", float, _fmt),
+    ("weights", "delta", "delta", float, _fmt),
+    ("weights", "lambda0", "lambda0", float, _fmt),
+    ("weights", "lambda1", "lambda1", float, _fmt),
+    ("initial-data", "modes", "modes", _modes,
+     lambda ms: ", ".join(f"{k}:{_fmt(off)}:{_fmt(amp)}" for (k, off, amp) in ms)),
+    ("initial-data", "profile", "profile_name", _profile, str),
+    ("initial-data", "random_modes", "random_modes", int, str),
+    ("initial-data", "random_amplitude", "random_amplitude", float, _fmt),
+    ("output", "directory", "out_dir", _directory, str),
+    ("output", "formats", "formats", _formats, ",".join),
+)
+
 
 def parse(text: str) -> ExperimentConfig:
     """Validate a config document; raises ConfigError listing all violations."""
@@ -175,18 +274,28 @@ def parse(text: str) -> ExperimentConfig:
         raise ConfigError([f"not a well-formed config: {exc}"]) from exc
 
     bad: list = []
+    known = {(sec, key) for sec, key, *_ in _KEYS}
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in {s for s, _ in known}:
             bad.append(f"unknown section [{sec}]")
             continue
-        for key in cp[sec]:
-            if key not in _SCHEMA[sec]:
-                bad.append(f"unknown key '{key}' in [{sec}]")
+        bad.extend(f"unknown key '{key}' in [{sec}]" for key in cp[sec] if (sec, key) not in known)
 
-    def raw(sec, key, default=None):
-        if cp.has_section(sec) and cp.has_option(sec, key):
-            return cp.get(sec, key).strip()
-        return default
+    # Text that cannot be read leaves the default; a value read but refused
+    # stays, so the cross-key rules below judge it as written.
+    v = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+    for sec, key, field, read, _ in _KEYS:
+        text = cp.get(sec, key, fallback=None)
+        if text is None and field in v:
+            continue
+        text = (text or "").strip()
+        try:
+            v[field] = read(text)
+        except ValueError as exc:
+            problems = [f"expected {_KINDS[read]}, got '{text}'"] if read in _KINDS else exc.args
+            bad.extend(f"[{sec}] {key}: {problem}" for problem in problems)
+            if isinstance(exc, _Partial):
+                v[field] = exc.value
 
     def check(sec, rule, *args):
         try:
@@ -194,124 +303,53 @@ def parse(text: str) -> ExperimentConfig:
         except ValueError as exc:
             bad.extend(f"[{sec}] {part}" for part in str(exc).split("; "))
 
-    def take(sec, key, cast, default, kind):
-        s = raw(sec, key)
-        if s is None:
-            return default
-        try:
-            return cast(s)
-        except ValueError:
-            bad.append(f"[{sec}] {key}: expected {kind}, got '{s}'")
-            return default
+    name = v.get("eq_name")
+    if name in _EQUILIBRIA and len(v["eq_params"]) != _EQUILIBRIA[name][1]:
+        bad.append(f"[equilibrium] params: {name} takes exactly {_EQUILIBRIA[name][1]} "
+                   f"parameter(s), got {len(v['eq_params'])}")
 
-    eq_name = raw("equilibrium", "name", "")
-    if not eq_name:
-        bad.append("[equilibrium] name: required (gaussian, two_stream, or zero)")
-    elif eq_name not in _EQUILIBRIA:
-        bad.append(f"[equilibrium] name: unknown equilibrium '{eq_name}' "
-                   f"(choose from {', '.join(sorted(_EQUILIBRIA))})")
-    ptext = raw("equilibrium", "params", "")
-    eq_params: tuple = ()
-    try:
-        eq_params = tuple(float(p) for p in ptext.split(",") if p.strip())
-    except ValueError:
-        bad.append(f"[equilibrium] params: expected comma-separated numbers, got '{ptext}'")
-    if eq_name in _EQUILIBRIA:
-        arity = _EQUILIBRIA[eq_name][1]
-        if len(eq_params) != arity:
-            bad.append(f"[equilibrium] params: {eq_name} takes exactly {arity} "
-                       f"parameter(s), got {len(eq_params)}")
-
-    k_max = take("grid", "k_max", int, 4, "an integer")
-    V = take("grid", "V", float, 8.0, "a number")
-    N_v = take("grid", "N_v", int, 0, "an integer")
-    dt = take("time", "dt", float, 1e-3, "a number")
-    T = take("time", "T", float, 10.0, "a number")
-    stride = take("time", "stride", int, 1, "an integer")
-    snap_stride = take("time", "snapshot_stride", int, 0, "an integer")
-
+    k_max, V, T, N_v = v["k_max"], v["V"], v["t_final"], v["N_v"]
     if k_max < 1:
         bad.append(f"[grid] k_max: need k_max >= 1, got {k_max}")
     if not (V > 0 and math.isfinite(V)):
         bad.append(f"[grid] V: need V > 0 and finite, got {V}")
-    check("time", time_steps, dt, T)
-    if stride < 1:
-        bad.append(f"[time] stride: need stride >= 1, got {stride}")
-    if snap_stride < 0:
-        bad.append(f"[time] snapshot_stride: need snapshot_stride >= 0, got {snap_stride}")
+    check("time", time_steps, v["dt"], T)
+    if v["trace_stride"] < 1:
+        bad.append(f"[time] stride: need stride >= 1, got {v['trace_stride']}")
+    if v["snapshot_stride"] < 0:
+        bad.append(f"[time] snapshot_stride: need snapshot_stride >= 0, "
+                   f"got {v['snapshot_stride']}")
 
     grid_ok = k_max >= 1 and V > 0 and math.isfinite(V) and T >= 0 and math.isfinite(T)
     if N_v == 0 and grid_ok:
         need = required_nv(V, k_max, T)
-        N_v = max(256, need + need % 2)
+        v["N_v"] = N_v = max(256, need + need % 2)
     if N_v < 2 or N_v % 2 != 0:
         if N_v != 0 or grid_ok:  # auto N_v left unresolved is not the user's fault
             bad.append(f"[grid] N_v: need N_v even and >= 2, got {N_v}")
     elif grid_ok:
         check("grid", check_resolution, V, k_max, N_v, T)
 
-    gamma = take("weights", "gamma", float, 1.0, "a number")
-    sigma = take("weights", "sigma", float, 3.2, "a number")
-    delta = take("weights", "delta", float, 0.1, "a number")
-    lam0 = take("weights", "lambda0", float, 0.05, "a number")
-    lam1 = take("weights", "lambda1", float, 0.2, "a number")
-    check("weights", WeightParams, gamma, sigma, delta, lam0, lam1)
+    check("weights", WeightParams, v["gamma"], v["sigma"], v["delta"], v["lambda0"], v["lambda1"])
 
-    random_modes = take("initial-data", "random_modes", int, 0, "an integer")
-    random_amp = take("initial-data", "random_amplitude", float, 1e-3, "a number")
-    if random_modes < 0:
-        bad.append(f"[initial-data] random_modes: need random_modes >= 0, got {random_modes}")
-    if not (random_amp > 0 and math.isfinite(random_amp)):
+    if v["random_modes"] < 0:
+        bad.append(f"[initial-data] random_modes: need random_modes >= 0, "
+                   f"got {v['random_modes']}")
+    if not (v["random_amplitude"] > 0 and math.isfinite(v["random_amplitude"])):
         bad.append(f"[initial-data] random_amplitude: need a positive finite "
-                   f"number, got {random_amp}")
-    mtext = raw("initial-data", "modes")
-    if mtext is None:
-        mtext = "" if random_modes > 0 else "1:0.0:1e-3"
-    modes: list = []
-    for part in mtext.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        fields = part.split(":")
-        if len(fields) != 3:
-            bad.append(f"[initial-data] modes: entry '{part}' is not k:eta_offset:amplitude")
-            continue
-        try:
-            k, off, amp = int(fields[0]), float(fields[1]), float(fields[2])
-        except ValueError:
-            bad.append(f"[initial-data] modes: entry '{part}' has non-numeric fields")
-            continue
+                   f"number, got {v['random_amplitude']}")
+    if v["random_modes"] > 0:
+        if not cp.has_option("initial-data", "modes"):
+            v["modes"] = ()
+        elif v["modes"]:
+            bad.append("[initial-data] choose explicit modes or random_modes, not both")
+    for k, _, _ in v["modes"]:
         if k_max >= 1 and not (1 <= k <= k_max):
             bad.append(f"[initial-data] modes: need 1 <= k <= k_max = {k_max}, got k = {k}")
-        if not (math.isfinite(off) and math.isfinite(amp)):
-            bad.append(f"[initial-data] modes: entry '{part}' must be finite")
-        modes.append((k, off, amp))
-    if random_modes > 0 and modes:
-        bad.append("[initial-data] choose explicit modes or random_modes, not both")
-    profile = raw("initial-data", "profile", "none")
-    if profile not in _PROFILES:
-        bad.append(f"[initial-data] profile: choose from {', '.join(_PROFILES)}, got '{profile}'")
-
-    out_dir = raw("output", "directory", "out")
-    if not out_dir:
-        bad.append("[output] directory: need a nonempty path")
-    ftext = raw("output", "formats", "csv,json")
-    asked = [p.strip() for p in ftext.split(",") if p.strip()]
-    for f in asked:
-        if f not in _FORMATS:
-            bad.append(f"[output] formats: unknown format '{f}' "
-                       f"(choose from {', '.join(_FORMATS)})")
-    formats = tuple(f for f in _FORMATS if f in asked)
 
     if bad:
         raise ConfigError(bad)
-    return ExperimentConfig(
-        eq_name=eq_name, eq_params=eq_params, k_max=k_max, V=V, N_v=N_v,
-        dt=dt, t_final=T, trace_stride=stride, snapshot_stride=snap_stride,
-        gamma=gamma, sigma=sigma, delta=delta, lambda0=lam0, lambda1=lam1,
-        modes=tuple(modes), profile_name=profile, random_modes=random_modes,
-        random_amplitude=random_amp, out_dir=out_dir, formats=formats,
-    )
+    return ExperimentConfig(**v)
 
 
 def parse_file(path) -> ExperimentConfig:
@@ -320,42 +358,10 @@ def parse_file(path) -> ExperimentConfig:
 
 def config_echo(cfg: ExperimentConfig) -> str:
     """Canonical config text; parsing it back yields an equal config."""
-    modes = ", ".join(f"{k}:{_fmt(off)}:{_fmt(amp)}" for (k, off, amp) in cfg.modes)
-    lines = [
-        "[equilibrium]",
-        f"name = {cfg.eq_name}",
-        f"params = {', '.join(_fmt(p) for p in cfg.eq_params)}",
-        "",
-        "[grid]",
-        f"k_max = {cfg.k_max}",
-        f"V = {_fmt(cfg.V)}",
-        f"N_v = {cfg.N_v}",
-        "",
-        "[time]",
-        f"dt = {_fmt(cfg.dt)}",
-        f"T = {_fmt(cfg.t_final)}",
-        f"stride = {cfg.trace_stride}",
-        f"snapshot_stride = {cfg.snapshot_stride}",
-        "",
-        "[weights]",
-        f"gamma = {_fmt(cfg.gamma)}",
-        f"sigma = {_fmt(cfg.sigma)}",
-        f"delta = {_fmt(cfg.delta)}",
-        f"lambda0 = {_fmt(cfg.lambda0)}",
-        f"lambda1 = {_fmt(cfg.lambda1)}",
-        "",
-        "[initial-data]",
-        f"modes = {modes}",
-        f"profile = {cfg.profile_name}",
-        f"random_modes = {cfg.random_modes}",
-        f"random_amplitude = {_fmt(cfg.random_amplitude)}",
-        "",
-        "[output]",
-        f"directory = {cfg.out_dir}",
-        f"formats = {','.join(cfg.formats)}",
-        "",
-    ]
-    return "\n".join(lines)
+    return "\n".join(
+        f"[{sec}]\n" + "".join(f"{key} = {echo(getattr(cfg, field))}\n"
+                               for _, key, field, _, echo in rows)
+        for sec, rows in groupby(_KEYS, key=lambda row: row[0]))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -403,15 +409,6 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(_json_render(payload) + "\n")
 
 
-def _summary_head(command: str, cfg: ExperimentConfig) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "package_version": __version__,
-        "config_hash": config_hash(cfg),
-        "command": command,
-    }
-
-
 def _write_trace_csv(path, cfg_hash: str, traces: dict, times: np.ndarray) -> None:
     """Rows (t, k, Re rho, Im rho, |E|) sorted by time, then mode."""
     ks = sorted(traces)
@@ -440,11 +437,9 @@ def _read_trace_csv(path):
             continue
         t_s, k_s, re_s, im_s, _ = line.split(",")
         t, k = float(t_s), int(k_s)
-        if k not in per_k:
-            per_k[k] = []
         if not times or t > times[-1]:
             times.append(t)
-        per_k[k].append(complex(float(re_s), float(im_s)))
+        per_k.setdefault(k, []).append(complex(float(re_s), float(im_s)))
     n = len(times)
     for k, vals in per_k.items():
         if len(vals) != n:
@@ -488,13 +483,7 @@ def read_snapshot(path):
 class _Options:
     out_dir: Path
     seed: int
-
-
-def _prepare(cfg: ExperimentConfig, opts: _Options) -> str:
-    opts.out_dir.mkdir(parents=True, exist_ok=True)
-    h = config_hash(cfg)
-    (opts.out_dir / "config.ini").write_text(f"# config-hash: {h}\n" + config_echo(cfg))
-    return h
+    cfg_hash: str
 
 
 def _fit_or_none(trace: DensityTrace):
@@ -506,11 +495,9 @@ def _fit_or_none(trace: DensityTrace):
             "residual": fit.residual, "n_used": fit.n_used}
 
 
-def _cmd_penrose(cfg: ExperimentConfig, opts: _Options) -> int:
-    _prepare(cfg, opts)
+def _cmd_penrose(cfg: ExperimentConfig, opts: _Options) -> tuple:
     rep = full_report(cfg.equilibrium(), k_max_scan=cfg.k_max)
-    payload = _summary_head("penrose", cfg)
-    payload.update({
+    return 0, {
         "equilibrium": rep.equilibrium,
         "kappa0": rep.kappa0,
         "theta1": rep.theta1,
@@ -520,67 +507,51 @@ def _cmd_penrose(cfg: ExperimentConfig, opts: _Options) -> int:
         "windings": [{"k": k, "rect": list(rect), "winding": w}
                      for (k, rect, w) in rep.windings],
         "scan": rep.scan,
-    })
-    _write_json(opts.out_dir / "penrose.json", payload)
-    return 0
+    }
 
 
-def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> int:
-    h = _prepare(cfg, opts)
+def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> tuple:
     modes = cfg.run_modes(opts.seed)
     if not modes:
         raise ValueError("linear needs at least one initial mode")
     eq = cfg.equilibrium()
     hat0 = cosine_initial_hat(cfg.profile() or eq, modes)
     ks = sorted({int(k) for (k, _, _) in modes})
-    traces = {}
-    fits = {}
-    for k in ks:
-        trace = volterra_solve(eq, k, lambda ts, k=k: source_from_initial(hat0, k, ts),
-                               cfg.dt, cfg.t_final)
-        traces[k] = trace
-        fits[str(k)] = _fit_or_none(trace)
+    traces = {k: volterra_solve(eq, k, lambda ts, k=k: source_from_initial(hat0, k, ts),
+                                cfg.dt, cfg.t_final) for k in ks}
     times = traces[ks[0]].times
     idx = record_steps(times.size - 1, cfg.trace_stride)
     if "csv" in cfg.formats:
-        _write_trace_csv(opts.out_dir / "traces.csv", h,
+        _write_trace_csv(opts.out_dir / "traces.csv", opts.cfg_hash,
                          {k: tr.values[idx] for k, tr in traces.items()}, times[idx])
-    payload = _summary_head("linear", cfg)
-    payload.update({
+    return 0, {
         "equilibrium": eq.name,
         "modes": [[int(k), off, amp] for (k, amp, off) in modes],
         "dt": cfg.dt,
         "t_final": cfg.t_final,
-        "fits": fits,
+        "fits": {str(k): _fit_or_none(tr) for k, tr in traces.items()},
         "final_abs_field": {str(k): float(abs(tr.field_values[-1]))
                             for k, tr in traces.items()},
-    })
-    _write_json(opts.out_dir / "linear.json", payload)
-    return 0
+    }
 
 
-def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> int:
-    h = _prepare(cfg, opts)
-    modes = cfg.run_modes(opts.seed)
-    rc = RunConfig(eq=cfg.equilibrium(), grid=cfg.grid(), dt=cfg.dt,
-                   t_final=cfg.t_final, modes=modes, trace_stride=cfg.trace_stride,
-                   snapshot_stride=cfg.snapshot_stride, profile=cfg.profile())
+def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> tuple:
+    rc = cfg.run_config(opts.seed, cfg.snapshot_stride)
     out = run(rc)
     if "csv" in cfg.formats:
-        _write_trace_csv(opts.out_dir / "traces.csv", h,
+        _write_trace_csv(opts.out_dir / "traces.csv", opts.cfg_hash,
                          {k: tr.values for k, tr in out.traces.items()}, out.times)
     if "snapshots" in cfg.formats:
         for i, snap in enumerate(out.snapshots):
-            write_snapshot(opts.out_dir / f"snapshot_{i:06d}.bin", h, rc.grid, snap)
+            write_snapshot(opts.out_dir / f"snapshot_{i:06d}.bin", opts.cfg_hash, rc.grid, snap)
     try:
         closure = closure_residual(out)
     except MissingSnapshotsError:
         closure = None
     cons = out.conservation
-    payload = _summary_head("nonlinear", cfg)
-    payload.update({
+    return 0, {
         "equilibrium": rc.eq.name,
-        "modes": [[int(k), off, amp] for (k, amp, off) in modes],
+        "modes": [[int(k), off, amp] for (k, amp, off) in rc.modes],
         "seed": opts.seed if cfg.random_modes else None,
         "n_steps": rc.n_steps,
         "conservation": {
@@ -591,36 +562,27 @@ def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> int:
         },
         "closure_residual": closure,
         "fits": {str(k): _fit_or_none(out.traces[k])
-                 for k in sorted({int(k) for (k, _, _) in modes})},
+                 for k in sorted({int(k) for (k, _, _) in rc.modes})},
         "final_abs_field": {str(k): float(abs(tr.field_values[-1]))
                             for k, tr in sorted(out.traces.items())},
         "n_snapshots": len(out.snapshots),
-    })
-    _write_json(opts.out_dir / "nonlinear.json", payload)
-    return 0
+    }
 
 
-def _cmd_echo(cfg: ExperimentConfig, opts: _Options) -> int:
-    _prepare(cfg, opts)
-    rc = RunConfig(eq=cfg.equilibrium(), grid=cfg.grid(), dt=cfg.dt,
-                   t_final=cfg.t_final, modes=cfg.run_modes(opts.seed),
-                   trace_stride=cfg.trace_stride, profile=cfg.profile())
-    rep = echo_experiment(rc)
-    payload = _summary_head("echo", cfg)
-    payload.update({
+def _cmd_echo(cfg: ExperimentConfig, opts: _Options) -> tuple:
+    rep = echo_experiment(cfg.run_config(opts.seed))
+    return 2 if rep.inconclusive else 0, {
         "inconclusive": rep.inconclusive,
         "noise_floor": rep.noise_floor,
         "peaks": [{"mode": p.mode, "measured_time": p.measured_time,
                    "amplitude": p.amplitude, "predicted_time": p.predicted_time,
                    "relative_error": p.relative_error} for p in rep.peaks],
-    })
-    _write_json(opts.out_dir / "echo.json", payload)
-    return 2 if rep.inconclusive else 0
+    }
 
 
-def _load_run(cfg: ExperimentConfig, directory: Path) -> RunRecord:
-    h = config_hash(cfg)
-    trace_path = directory / "traces.csv"
+def _load_run(cfg: ExperimentConfig, opts: _Options) -> RunRecord:
+    h = opts.cfg_hash
+    trace_path = opts.out_dir / "traces.csv"
     if not trace_path.exists():
         raise FileNotFoundError(f"{trace_path} not found; run the nonlinear "
                                 "subcommand with csv output first")
@@ -630,7 +592,7 @@ def _load_run(cfg: ExperimentConfig, directory: Path) -> RunRecord:
                          f"(hash {file_hash[:12]}.., expected {h[:12]}..)")
     grid = cfg.grid()
     snaps = []
-    for path in sorted(directory.glob("snapshot_*.bin")):
+    for path in sorted(opts.out_dir.glob("snapshot_*.bin")):
         s_hash, s_grid, snap = read_snapshot(path)
         if s_hash != h:
             raise ValueError(f"{path} was written by a different config")
@@ -638,20 +600,19 @@ def _load_run(cfg: ExperimentConfig, directory: Path) -> RunRecord:
             raise ValueError(f"{path} grid {s_grid} does not match the config grid {grid}")
         snaps.append(snap)
     if not snaps:
-        raise FileNotFoundError(f"no snapshot files in {directory}; rerun the "
+        raise FileNotFoundError(f"no snapshot files in {opts.out_dir}; rerun the "
                                 "nonlinear subcommand with formats = csv,json,snapshots")
     traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
     return RunRecord(grid=grid, times=times, traces=traces, snapshots=snaps)
 
 
-def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
-    h = _prepare(cfg, opts)
-    stored = _load_run(cfg, opts.out_dir)
+def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
+    stored = _load_run(cfg, opts)
     params = cfg.weights()
     profile = norm_profile(stored, params)
     if "csv" in cfg.formats:
         with open(opts.out_dir / "norm_profile.csv", "w", newline="\n") as fh:
-            fh.write(f"# config-hash: {h}\n")
+            fh.write(f"# config-hash: {opts.cfg_hash}\n")
             fh.write("t,z,G,F,lambda\n")
             for i, t in enumerate(profile.times):
                 for j, z in enumerate(profile.z_grid):
@@ -674,8 +635,7 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
             sqrt_rows.append({"t": snap.t, "z": z, "margin": m.margin, "ok": m.ok})
     final_state = stored.snapshots[-1].to_state(grid)
     mult = check_multiplier(final_state, cfg.lambda0, params)
-    payload = _summary_head("norms", cfg)
-    payload.update({
+    return 0, {
         "n_snapshots": len(stored.snapshots),
         "FG1": {"C0": fg1.C0, "max_violation": fg1.max_violation,
                 "at_t": fg1.at[0], "at_z": fg1.at[1], "n_samples": fg1.n_samples},
@@ -686,36 +646,42 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> int:
         "multiplier": {"x_margin": mult.x_margin, "v_margin": mult.v_margin,
                        "h": mult.h, "ok": mult.ok},
         "eta_tail_fraction_final": eta_tail_fraction(final_state, cfg.lambda0, params),
-    })
-    _write_json(opts.out_dir / "norms.json", payload)
-    return 0
+    }
 
 
-def _cmd_report(cfg: ExperimentConfig, opts: _Options) -> int:
-    h = _prepare(cfg, opts)
-    artifacts = {}
-    for path in sorted(opts.out_dir.glob("*.json")):
-        if path.name == "report.json":
-            continue
-        artifacts[path.name] = json.loads(path.read_text())
+def _cmd_report(cfg: ExperimentConfig, opts: _Options) -> tuple:
+    artifacts = {path.name: json.loads(path.read_text())
+                 for path in sorted(opts.out_dir.glob("*.json")) if path.name != "report.json"}
     if not artifacts:
         raise FileNotFoundError(f"no JSON summaries in {opts.out_dir}; run a "
                                 "subcommand first")
-    foreign = sorted({a.get("config_hash") for a in artifacts.values()} - {h})
-    payload = _summary_head("report", cfg)
-    payload.update({"artifacts": artifacts, "foreign_hashes": foreign})
-    _write_json(opts.out_dir / "report.json", payload)
-    return 0
+    foreign = sorted({a.get("config_hash") for a in artifacts.values()} - {opts.cfg_hash})
+    return 0, {"artifacts": artifacts, "foreign_hashes": foreign}
 
 
 _COMMANDS = {
-    "penrose": _cmd_penrose,
-    "linear": _cmd_linear,
-    "nonlinear": _cmd_nonlinear,
-    "echo": _cmd_echo,
-    "norms": _cmd_norms,
-    "report": _cmd_report,
+    "penrose": (_cmd_penrose, "dispersion margin, strip width, and root report"),
+    "linear": (_cmd_linear, "linearized density evolution and decay fits"),
+    "nonlinear": (_cmd_nonlinear, "full pseudo-spectral evolution with diagnostics"),
+    "echo": (_cmd_echo, "two-wave echo experiment"),
+    "norms": (_cmd_norms, "weighted-norm inequality report from stored snapshots"),
+    "report": (_cmd_report, "aggregate the JSON summaries in the output directory"),
 }
+
+
+def _run_command(command: str, cfg: ExperimentConfig, opts: _Options) -> int:
+    """Echo the config, run the command, and write its summary under the common head.
+
+    A command that raises leaves config.ini and no summary.
+    """
+    opts.out_dir.mkdir(parents=True, exist_ok=True)
+    (opts.out_dir / "config.ini").write_text(f"# config-hash: {opts.cfg_hash}\n"
+                                             + config_echo(cfg))
+    code, summary = _COMMANDS[command][0](cfg, opts)
+    _write_json(opts.out_dir / f"{command}.json",
+                {"format_version": FORMAT_VERSION, "package_version": __version__,
+                 "config_hash": opts.cfg_hash, "command": command, **summary})
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -731,19 +697,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vpdamp",
         description="Stability analysis and phase-mixing experiments on the torus.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-            ("penrose", "dispersion margin, strip width, and root report"),
-            ("linear", "linearized density evolution and decay fits"),
-            ("nonlinear", "full pseudo-spectral evolution with diagnostics"),
-            ("echo", "two-wave echo experiment"),
-            ("norms", "weighted-norm inequality report from stored snapshots"),
-            ("report", "aggregate the JSON summaries in the output directory")):
+    for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", help="path to the experiment config "
-                       "(or set VPDAMP_CONFIG)")
-        p.add_argument("--out", help="output directory override (or VPDAMP_OUT)")
-        p.add_argument("--seed", type=int, help="RNG seed; random initial data "
-                       "only (or VPDAMP_SEED)")
+        p.add_argument("--config", default=_env("CONFIG"),
+                       help="path to the experiment config (or set VPDAMP_CONFIG)")
+        p.add_argument("--out", default=_env("OUT"),
+                       help="output directory override (or VPDAMP_OUT)")
+        p.add_argument("--seed", type=int, default=_env("SEED"),
+                       help="RNG seed; random initial data only (or VPDAMP_SEED)")
     return parser
 
 
@@ -754,35 +715,27 @@ def main(argv=None) -> int:
         # argparse uses code 2 for usage errors; 2 is reserved for inconclusive
         return 0 if exc.code == 0 else 1
 
-    config_path = args.config or _env("CONFIG")
-    if not config_path:
+    if not args.config:
         print("error: no config given (use --config or VPDAMP_CONFIG)", file=sys.stderr)
         return 1
     try:
-        cfg = parse_file(config_path)
+        cfg = parse_file(args.config)
     except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
+        print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    seed = args.seed if args.seed is not None else _env("SEED")
-    try:
-        seed = 0 if seed is None else int(seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    seed_given = args.seed is not None or _env("SEED") is not None
-    if seed_given and cfg.random_modes == 0:
+    if args.seed is not None and cfg.random_modes == 0:
         print("error: --seed applies to random initial data only "
               "(set random_modes in [initial-data])", file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out or _env("OUT") or cfg.out_dir)
-    opts = _Options(out_dir=out_dir, seed=seed)
+    opts = _Options(out_dir=Path(args.out or cfg.out_dir), seed=args.seed or 0,
+                    cfg_hash=config_hash(cfg))
     try:
-        return _COMMANDS[args.command](cfg, opts)
+        return _run_command(args.command, cfg, opts)
     except Exception as exc:  # surface solver refusals as clean CLI errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,10 +65,6 @@ class DensityTrace:
         """E_k(t) = rho_k(t) / (i k), exact per stored values."""
         return self.values / (1j * self.k)
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def source_from_initial(f0, k: int, times) -> np.ndarray:
     """Source samples S_k(t) = f0_hat_{k, k t}.
@@ -343,13 +339,15 @@ def solve_via_kernel(source: DensityTrace, kernel: ResolventKernel) -> DensityTr
     """Density of mode kernel.k from the explicit solution rho = S + K * S (trapezoid).
 
     The source trace's grid must match the kernel's uniform grid.  The
-    convolution is one zero-padded FFT product, O(N log N).
+    convolution is one zero-padded FFT product, O(N log N); on a one-sample
+    grid it is 0 and the density is the source.
     """
     S = np.asarray(source.values, dtype=complex)
     t = np.asarray(source.times, dtype=float)
     if t.shape != kernel.times.shape or np.max(np.abs(t - kernel.times)) > 1e-12:
         raise ValueError("source and kernel must share one time grid")
-    conv = trapezoid_convolve(np.asarray(kernel.values, dtype=complex), S, source.dt)
+    dt = float(t[1] - t[0]) if t.size > 1 else 0.0
+    conv = trapezoid_convolve(np.asarray(kernel.values, dtype=complex), S, dt)
     return DensityTrace(k=kernel.k, times=t, values=S + conv)
 
 

@@ -98,7 +98,7 @@ class Grid:
     k_max : int
         Largest retained spatial mode, k_max >= 1.
     V : float
-        Half-width of the truncated velocity domain.
+        Half-width of the truncated velocity domain, 0 < V < inf.
     N_v : int
         Number of velocity points (even, >= 2).
     """
@@ -110,8 +110,8 @@ class Grid:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.V <= 0:
-            raise ValueError(f"V must be positive, got {self.V}")
+        if not 0 < self.V < math.inf:
+            raise ValueError(f"V must be positive and finite, got {self.V}")
         if self.N_v < 2 or self.N_v % 2 != 0:
             raise ValueError(f"N_v must be even and >= 2, got {self.N_v}")
 

@@ -365,6 +365,12 @@ class TestNormsCommand:
         assert cli.main(["norms", "--config", str(path)]) == 0
         assert len(calls) == 1
 
+    def test_failed_command_leaves_config_and_no_summary(self, tmp_path):
+        path = write_config(tmp_path, config_text(tmp_path / "o"))
+        assert cli.main(["norms", "--config", str(path)]) == 1
+        names = sorted(p.name for p in (tmp_path / "o").iterdir())
+        assert names == ["config.ini"]
+
     def test_requires_snapshots(self, tmp_path):
         path = write_config(tmp_path, config_text(tmp_path / "o", T=0.5,
                                                   formats="csv,json"))
@@ -497,6 +503,31 @@ class TestSeedAndEnv:
         assert (tmp_path / "flagdir" / "penrose.json").exists()
         assert not (tmp_path / "envdir").exists()
 
+    def seeded_run(self, tmp_path, *flags):
+        path = write_config(tmp_path, self.RANDOM
+                            + f"[output]\ndirectory = {tmp_path / 'r'}\nformats = json\n")
+        code = cli.main(["nonlinear", "--config", str(path), *flags])
+        summary = tmp_path / "r" / "nonlinear.json"
+        return code, json.loads(summary.read_text()) if summary.exists() else None
+
+    def test_env_seed_is_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VPDAMP_SEED", "7")
+        code, rep = self.seeded_run(tmp_path)
+        assert code == 0 and rep["seed"] == 7
+        cfg = cli.parse(self.RANDOM)
+        assert rep["modes"] == [[k, off, amp] for (k, amp, off) in cfg.run_modes(7)]
+
+    def test_seed_flag_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VPDAMP_SEED", "8")
+        code, rep = self.seeded_run(tmp_path, "--seed", "7")
+        assert code == 0 and rep["seed"] == 7
+
+    def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("VPDAMP_SEED", "x")
+        code, rep = self.seeded_run(tmp_path)
+        assert code == 1 and rep is None
+        assert "'x'" in capsys.readouterr().err
+
 
 class TestReadmeMatchesCli:
     """README's usage line and environment variables track the parser: a stale flag fails."""
@@ -512,6 +543,20 @@ class TestReadmeMatchesCli:
             flags = {f for a in parser._actions for f in a.option_strings
                      if f.startswith("--") and f != "--help"}
             assert flags == documented, name
+
+    def test_ini_block_keys_in_echo_order(self):
+        def keys(text):
+            section, out = None, []
+            for line in text.splitlines():
+                line = re.sub(r"\s*[;#].*", "", line).strip()
+                if line.startswith("["):
+                    section = line.strip("[]")
+                elif line:
+                    out.append((section, line.split("=")[0].strip()))
+            return out
+
+        block = self.README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        assert keys(block) == keys(cli.config_echo(cli.parse(MINIMAL)))
 
     def test_environment_variables_match_env_calls(self):
         tree = ast.parse(Path(cli.__file__).read_text())

@@ -337,6 +337,13 @@ class TestKernelRoute:
         got = solve_via_kernel(DensityTrace(k=1, times=times, values=S), ker).values
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(S))
 
+    def test_one_sample_grid_returns_source(self):
+        # T = 0: the grid is {0}, the convolution is empty and rho = S
+        ker = resolvent_kernel(EQ, 1, *contour_parameters(EQ, 1, 0.0), [0.0])
+        S = np.array([1e-3 + 2e-4j])
+        out = solve_via_kernel(DensityTrace(k=1, times=np.zeros(1), values=S), ker)
+        assert np.array_equal(out.values, S)
+
     def test_grid_mismatch_rejected(self):
         t = 1e-2 * np.arange(101)
         ker = resolvent_kernel(STUB, 1, 0.25, 50.0, 256, t)

@@ -64,6 +64,8 @@ class TestGrid:
         dict(k_max=0, V=1.0, N_v=4),
         dict(k_max=1, V=0.0, N_v=4),
         dict(k_max=1, V=1.0, N_v=5),
+        dict(k_max=1, V=float("nan"), N_v=4),
+        dict(k_max=1, V=float("inf"), N_v=4),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

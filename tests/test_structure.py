@@ -1,6 +1,7 @@
 """Structure checks on the package source."""
 
 import ast
+import importlib
 import re
 import textwrap
 from pathlib import Path
@@ -79,3 +80,17 @@ def test_documented_config_blocks_are_the_defaults():
     start = lines.index("    [equilibrium]")
     end = next(i for i in range(start, len(lines)) if lines[i] and not lines[i].startswith(" "))
     assert _parse_documented(textwrap.dedent("\n".join(lines[start:end]))) == defaults
+
+
+def test_traced_bindings_resolve():
+    # perfbench/tracing.py wraps each (module, attribute) of PATCHES where its
+    # callers look it up; a binding a refactor drops would crash a traced run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    patches = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "PATCHES" for t in node.targets))
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in patches.elts]
+    assert len(pairs) >= 10
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"traced names no longer bound: {missing}"
