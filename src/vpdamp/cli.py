@@ -630,8 +630,8 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
         state = snap.to_state(grid)
         rho = snapshot_density(stored, snap.t)
         lam = float(radius(snap.t, params))
-        for z in (0.0, lam / 2.0, lam):
-            m = check_F_le_sqrtG(state, rho, z, params)
+        zs = (0.0, lam / 2.0, lam)
+        for z, m in zip(zs, check_F_le_sqrtG(state, rho, zs, params)):
             sqrt_rows.append({"t": snap.t, "z": z, "margin": m.margin, "ok": m.ok})
     final_state = stored.snapshots[-1].to_state(grid)
     mult = check_multiplier(final_state, cfg.lambda0, params)

@@ -33,17 +33,13 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .penrose import laplace_symbol, strip_width
-from .spectral import (SpectralState, chirp_sum, fft_convolve, oscillatory_moment,
-                       time_steps, trapezoid_convolve)
+from .spectral import (GREGORY_WEIGHTS, SpectralState, chirp_sum, fft_convolve,
+                       oscillatory_moment, time_steps, trapezoid_convolve)
 
 TRACE_FLOOR = 1e-14
 EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
 VOLTERRA_BLOCK = 128  # volterra_solve marches blocks this short directly
 H_AUTO = 4e-3  # largest |k|-scaled sample spacing of the kernel autoconvolution
-# Order-8 Gregory end corrections c_i of sum_j f_j + sum_{i<8} c_i (f_i + f_{m-i}): by
-# Euler-Maclaurin, sum_i c_i i^d is -1/2 at d = 0, B_{d+1}/(d+1) at odd d, 0 at other d < 8.
-GREGORY_WEIGHTS = np.linalg.solve(np.vander(np.arange(8.0), increasing=True).T,
-                                  [-1 / 2, 1 / 12, 0, -1 / 120, 0, 1 / 252, 0, -1 / 240])
 
 
 @dataclass(frozen=True)

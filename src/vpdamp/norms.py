@@ -306,18 +306,25 @@ class SqrtGMargin:
     ok: bool
 
 
-def check_F_le_sqrtG(state: SpectralState, rho, z: float,
-                     params: WeightParams) -> SqrtGMargin:
+def check_F_le_sqrtG(state: SpectralState, rho, z, params: WeightParams):
     """Pointwise domination of the density norm by the generator functional.
 
-    The margin may dip below zero only by the quadrature floor: the discrete
-    G under-counts eta-tail mass the continuous integral would include.
+    z is one radius, or a sequence of radii answered with one SqrtGMargin
+    each from a single build of the state's eta-tables.  The margin may dip
+    below zero only by the quadrature floor: the discrete G under-counts
+    eta-tail mass the continuous integral would include.
     """
-    sq = math.sqrt(gen_G(state, z, params))
-    f = gen_F(rho, state.t, z, params)
-    floor = 1e-8 * max(1.0, sq)
-    margin = sq - f
-    return SqrtGMargin(margin=margin, floor=floor, ok=margin >= -floor)
+    zs = [float(x) for x in np.atleast_1d(z)]
+    _guard_overflow(state, max(zs), params)
+    tables = (*_weight_tables(state.grid, params), _mass(state))
+    terms = _F_terms(rho, state.t, params)
+    out = []
+    for x in zs:
+        sq = math.sqrt(_G_from_tables(*tables, x, state.grid.deta))
+        margin = sq - _F_from_terms(terms, x)
+        floor = 1e-8 * max(1.0, sq)
+        out.append(SqrtGMargin(margin=margin, floor=floor, ok=margin >= -floor))
+    return out[0] if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)

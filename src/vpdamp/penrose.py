@@ -16,6 +16,10 @@ rule out interior zeros (an analytic function tending to 1 at infinity
 with no zeros attains its modulus infimum on the boundary or in the
 limit).  The reported margin is a certified scan value, not a claimed
 rigorous global infimum; the certification parameters travel with it.
+
+Uniform Im lambda grids on a vertical line (boundary scan, vertical contour
+edges) take one O(N log N) chirp-z sum; every other point keeps Gauss-Legendre
+so the roots, their seeds and the zoomed margin do not depend on that sum.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import Equilibrium
-from .spectral import phase_sum
+from .spectral import GREGORY_WEIGHTS, chirp_sum, phase_sum
 
 TAIL_TOL = 1e-15
+LINE_STEP = 1.0 / 16.0  # t-step of _symbol_on_line times the integrand's bandwidth
 ROOT_RESIDUAL_TOL = 1e-10
 CONTOUR_CLEARANCE = 1e-8
 ROOT_WANDER = 8.0  # farthest a Newton iterate may stray from its seed (scan polishes move < 0.2)
@@ -63,14 +68,16 @@ def _log_integrand_bound(eq: Equilibrium, ak: float, rho: float, t: float) -> fl
     return math.log(t) + rho * t + le
 
 
-def _cutoff(eq: Equilibrium, k: int, rho: float) -> float:
-    """Truncation time T with certified Laplace tail below TAIL_TOL.
+def _cutoff(eq: Equilibrium, k: int, rho: float, extra: float = 0.0) -> float:
+    """Truncation time T with certified Laplace tail below TAIL_TOL, plus `extra`.
 
     rho is the worst exponential growth over the batch, max(-Re lambda).
     The bound's local decay rate is nondecreasing in t for both envelope
     families (linear and quadratic exponents), so the tail integral
-    beyond T is at most bound(T) / rate(T).
+    beyond T is at most bound(T) / rate(T).  Refuses k = 0 and an overflowing e^{rho T}.
     """
+    if k == 0:
+        raise ValueError("k must be a nonzero integer")
     ak = abs(k)
     if eq.hat_log_envelope is None and rho >= eq.theta0 * ak:
         raise DomainError(
@@ -85,7 +92,10 @@ def _cutoff(eq: Equilibrium, k: int, rho: float) -> float:
         ) / (2.0 * h)
         log_bound = _log_integrand_bound(eq, ak, rho, t)
         if rate > 1e-9 and log_bound < 700.0 and math.exp(log_bound) / rate < TAIL_TOL:
-            return t
+            if rho * (t + extra) > 700.0:
+                raise DomainError(f"e^(-lambda t) overflows on [0, {t + extra:g}] at "
+                                  f"max(-Re lambda) = {rho:g}")
+            return t + extra
         t += 0.5
     raise DomainError(
         f"could not certify a quadrature cutoff for k={k} with max(-Re lambda) = {rho:g}"
@@ -111,13 +121,8 @@ def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
     is -d/dlambda of laplace_symbol); panels narrow with the largest |Im lambda|
     and |Re lambda| in the batch so 32 nodes per panel stay spectrally accurate.
     """
-    if k == 0:
-        raise ValueError("k must be a nonzero integer")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    rho = float(np.max(-lam_arr.real))
-    T = _cutoff(eq, k, rho) + extra
-    if rho * T > 700.0:
-        raise DomainError(f"e^(-lambda t) overflows on [0, {T:g}] at max(-Re lambda) = {rho:g}")
+    T = _cutoff(eq, k, float(np.max(-lam_arr.real)), extra)
     omega_max = float(np.max(np.abs(lam_arr.imag)))
     re_max = float(np.max(np.abs(lam_arr.real)))
     width = min(1.0, 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
@@ -129,6 +134,19 @@ def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
     f = weights * nodes**power * np.asarray(eq.mu_hat(k * nodes), dtype=float)
     out = phase_sum(-lam_arr, nodes, f)
     return complex(out[0]) if np.ndim(lam) == 0 else out
+
+
+def _symbol_on_line(eq: Equilibrium, k: int, re: float, omega) -> np.ndarray:
+    """L(k, re + i omega) for uniform omega (ascending or descending), by one chirp-z sum
+    of t mu_hat(k t) e^{-re t} on [0, _cutoff], step LINE_STEP over the integrand's
+    bandwidth max(|omega|, |re|) + 16|k|, order-8 Gregory weights at t = 0 (the far end
+    is already below TAIL_TOL)."""
+    T = _cutoff(eq, k, -re)
+    m = math.ceil(T * (max(float(np.max(np.abs(omega))), abs(re)) + 16.0 * abs(k)) / LINE_STEP)
+    t = (T / m) * np.arange(m + 1)
+    f = (T / m) * t * np.asarray(eq.mu_hat(k * t), dtype=float) * np.exp(-re * t)
+    f[: GREGORY_WEIGHTS.size] *= 1.0 + GREGORY_WEIGHTS
+    return chirp_sum(omega, -1j * t, f)
 
 
 def dispersion(eq: Equilibrium, k: int, lam):
@@ -152,21 +170,21 @@ def count_zeros(eq: Equilibrium, k: int, rect) -> int:
     Im in [-im_max, im_max].  The contour is sampled counterclockwise
     and refined (density doubling) until two consecutive refinements
     agree on the same integer with all phase increments below pi/2.
-    Raises ContourError if |D| dips under 1e-8 on the contour.
+    The vertical edges take the chirp-z line sum, the horizontal ones
+    Gauss-Legendre.  Raises ContourError if |D| dips under 1e-8 on the contour.
     """
     a, b, om = rect
     if not (a < b and om > 0):
         raise ValueError(f"degenerate rectangle {rect}")
-    if eq.hat_log_envelope is None and a <= -eq.theta0 * abs(k):
-        raise DomainError(
-            f"rectangle reaches Re lambda = {a:g}, outside the k={k} convergence region"
-        )
 
     density = 8.0
     previous: Optional[int] = None
     for _ in range(9):
-        pts = _rectangle_points(a, b, om, density)
-        vals = 1.0 + laplace_symbol(eq, k, pts)
+        bottom, right, top, left = _rectangle_edges(a, b, om, density)
+        flat = laplace_symbol(eq, k, np.concatenate([bottom, top]))
+        vals = 1.0 + np.concatenate([flat[: bottom.size], _symbol_on_line(eq, k, b, right.imag),
+                                     flat[bottom.size :], _symbol_on_line(eq, k, a, left.imag),
+                                     flat[:1]])
         clearance = float(np.min(np.abs(vals)))
         if clearance < CONTOUR_CLEARANCE:
             raise ContourError(
@@ -189,17 +207,15 @@ def count_zeros(eq: Equilibrium, k: int, rect) -> int:
     )
 
 
-def _rectangle_points(a: float, b: float, om: float, density: float) -> np.ndarray:
+def _rectangle_edges(a: float, b: float, om: float, density: float) -> list:
+    """Bottom, right, top and left edges, counterclockwise from a - i om, each without its end."""
     def edge(z0: complex, z1: complex) -> np.ndarray:
         n = max(16, int(math.ceil(abs(z1 - z0) * density)))
         s = np.linspace(0.0, 1.0, n, endpoint=False)
         return z0 + (z1 - z0) * s
 
     corners = [a - 1j * om, b - 1j * om, b + 1j * om, a + 1j * om]
-    pts = np.concatenate(
-        [edge(corners[i], corners[(i + 1) % 4]) for i in range(4)] + [[corners[0]]]
-    )
-    return pts
+    return [edge(corners[i], corners[(i + 1) % 4]) for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -232,8 +248,9 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
     to Re lambda < b); the infimum then lives on the boundary Re = 0 or
     at infinity, so a refined scan over lambda = i omega plus tail
     bounds (fitted C1 for large omega, certified envelope for large k)
-    yields the margin.  If a winding is nonzero the result carries the
-    offending roots and kappa0 = 0.
+    yields the margin.  The scan is one chirp-z line sum per k; its three
+    41-point zooms keep Gauss-Legendre, like the roots.  If a winding is
+    nonzero the result carries the offending roots and kappa0 = 0.
     """
     if k_max_scan < 1:
         raise ValueError("k_max_scan must be >= 1")
@@ -260,7 +277,7 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
     k_at, om_at = 1, 0.0
     C1 = 0.0
     for k in range(1, k_max_scan + 1):
-        vals = 1.0 + laplace_symbol(eq, k, 1j * omega)
+        vals = 1.0 + _symbol_on_line(eq, k, 0.0, omega)
         absD = np.abs(vals)
         C1 = max(C1, float(np.max(np.abs(vals - 1.0) * (1.0 + k**2 + omega**2))))
         i0 = int(np.argmin(absD))

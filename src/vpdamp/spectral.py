@@ -41,6 +41,10 @@ import numpy as np
 
 BOUNDARY_DECAY_TOL = 1e-12
 MAX_STEPS = 10**7
+# Order-8 Gregory end corrections c_i of sum_j f_j + sum_{i<8} c_i (f_i + f_{m-i}): by
+# Euler-Maclaurin, sum_i c_i i^d is -1/2 at d = 0, B_{d+1}/(d+1) at odd d, 0 at other d < 8.
+GREGORY_WEIGHTS = np.linalg.solve(np.vander(np.arange(8.0), increasing=True).T,
+                                  [-1 / 2, 1 / 12, 0, -1 / 120, 0, 1 / 252, 0, -1 / 240])
 
 
 class BoundaryDecayError(ValueError):

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from vpdamp import norms
 from vpdamp.equilibria import gaussian
 from vpdamp.linear import cosine_initial_hat, source_from_initial
 from vpdamp.nonlinear import RunConfig, RunRecord, run
@@ -325,6 +326,20 @@ class TestSqrtGDomination:
                 rep = check_F_le_sqrtG(st, rho, z, PARAMS)
                 assert rep.ok
                 assert rep.margin >= -1e-8
+
+    def test_sequence_of_radii_builds_tables_once(self, linear_run, monkeypatch):
+        snap = linear_run.snapshots[-1]
+        st = snap.to_state(GRID)
+        rho = {k: tr.values[-1] for k, tr in linear_run.traces.items()}
+        zs = (0.0, 0.05, 0.1)
+        single = [check_F_le_sqrtG(st, rho, z, PARAMS) for z in zs]
+        builds = []
+        mass = norms._mass
+        monkeypatch.setattr(norms, "_mass", lambda state: builds.append(1) or mass(state))
+        assert check_F_le_sqrtG(st, rho, zs, PARAMS) == single
+        assert len(builds) == 1
+        with pytest.raises(ValueError, match="z >= 0"):
+            check_F_le_sqrtG(st, rho, (0.0, -0.1), PARAMS)
 
     def test_single_mode_hand_quadrature(self):
         # flat weights: sqrt(G) = eps sqrt(3 pi^{3/2}), F = eps sqrt(2 pi)

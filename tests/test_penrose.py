@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vpdamp import penrose
 from vpdamp.equilibria import gaussian, two_stream, zero
 from vpdamp.linear import contour_parameters
 from vpdamp.penrose import (
@@ -22,6 +23,7 @@ from vpdamp.penrose import (
     margin,
     strip_width,
 )
+from vpdamp.spectral import GREGORY_WEIGHTS
 
 # Reference roots from an independent trapezoid-quadrature Newton oracle,
 # frozen; the module must reproduce them through its own quadrature.
@@ -90,6 +92,55 @@ class TestLaplaceSymbol:
         assert laplace_symbol(zero(), 1, 0.5 + 3j) == 0.0
 
 
+def dense_line_reference(eq, k, re, omega, n=40000):
+    """L(k, re + i omega) by a dense fine-step trapezoid sum on [0, cutoff + 1].
+
+    Both ends carry the order-8 Gregory corrections; one phase row per omega,
+    no FFT, and a step far below the line sum's.
+    """
+    T = penrose._cutoff(eq, k, -re) + 1.0
+    t = np.linspace(0.0, T, n + 1)
+    f = (T / n) * t * eq.mu_hat(k * t) * np.exp(-re * t)
+    f[:8] *= 1.0 + GREGORY_WEIGHTS
+    f[-8:] *= 1.0 + GREGORY_WEIGHTS[::-1]
+    return np.array([np.exp(-1j * w * t) @ f for w in omega])
+
+
+LINE_EQUILIBRIA = [gaussian(), two_stream(3.0), two_stream(5.0)]
+
+
+class TestSymbolOnLine:
+    """The chirp-z line sum against the Gauss-Legendre symbol and a dense reference."""
+
+    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA, ids=lambda eq: repr(eq))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_laplace_symbol(self, eq, k):
+        omega = np.linspace(0.0, 50.0, 10001)
+        line = penrose._symbol_on_line(eq, k, 0.0, omega)
+        assert np.max(np.abs(line - laplace_symbol(eq, k, 1j * omega))) <= 1e-14
+        # the chirp sum answers at omega_0 + n h exactly; a step of 1/8 makes those
+        # the grid's own floats (with a step of 0.1, linspace's points sit up to an
+        # ulp of 40 off that lattice, and |dL/domega| ~ 3 turns that into 1.3e-14)
+        re = -0.5 * eq.theta0 * k
+        down = np.linspace(40.0, -40.0, 641)
+        line = penrose._symbol_on_line(eq, k, re, down)
+        assert np.max(np.abs(line - laplace_symbol(eq, k, re + 1j * down))) <= 1e-14
+
+    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA, ids=lambda eq: repr(eq))
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_matches_dense_reference_at_large_k(self, eq, k):
+        # here the Gauss-Legendre panels are too wide for mu_hat(k t) (two_stream(5),
+        # k = 16, Re = -8 misses by 1.8e-12), so the reference is a dense sum
+        omega = np.linspace(0.0, 50.0, 10001)
+        line = penrose._symbol_on_line(eq, k, 0.0, omega)
+        sub = slice(None, None, 100)
+        assert np.max(np.abs(line[sub] - dense_line_reference(eq, k, 0.0, omega[sub]))) <= 1e-15
+        re = -0.5 * eq.theta0 * k
+        down = np.linspace(40.0, -40.0, 81)
+        line = penrose._symbol_on_line(eq, k, re, down)
+        assert np.max(np.abs(line - dense_line_reference(eq, k, re, down))) <= 1e-15
+
+
 class TestDispersion:
     def test_values_at_origin(self):
         ga = gaussian()
@@ -110,6 +161,17 @@ class TestWinding:
     def test_conjugate_pair_counted(self):
         # rectangle straddling both conjugate damped roots of mode 1
         assert count_zeros(gaussian(), 1, (-1.2, -0.05, 3.0)) == 2
+
+    def test_left_edge_left_of_the_axis(self, monkeypatch):
+        # Re lambda < 0 throughout, so the left edge's samples grow like e^{1.2 t}
+        lines = []
+        line_sum = penrose._symbol_on_line
+        monkeypatch.setattr(penrose, "_symbol_on_line",
+                            lambda eq, k, re, om: lines.append(re) or line_sum(eq, k, re, om))
+        assert count_zeros(gaussian(), 1, (-1.2, -0.5, 3.0)) == 2
+        assert -1.2 in lines and -0.5 in lines
+        # the roots sit at Im = +-2.04590: the same rectangle cut to |Im| <= 1.5 holds none
+        assert count_zeros(gaussian(), 1, (-1.2, -0.5, 1.5)) == 0
 
     def test_zero_on_contour_detected(self):
         ga = gaussian()
