@@ -100,6 +100,12 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
+def _auto_nv(V: float, k_max: int, t_final: float) -> int:
+    """The N_v that "N_v = 0" means: even, at least 256, resolving phases up to t_final."""
+    need = required_nv(V, k_max, t_final)
+    return max(256, need + need % 2)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -112,7 +118,7 @@ class ExperimentConfig:
     eq_params: tuple = ()
     k_max: int = 4
     V: float = 8.0
-    N_v: int = 0  # parse resolves 0 from the resolution rule
+    N_v: int = 0  # 0: _auto_nv, resolved by parse and grid()
     dt: float = 1e-3
     t_final: float = 10.0
     trace_stride: int = 1
@@ -136,7 +142,8 @@ class ExperimentConfig:
         return None if self.profile_name == "none" else _EQUILIBRIA[self.profile_name][0]()
 
     def grid(self) -> Grid:
-        return Grid(k_max=self.k_max, V=self.V, N_v=self.N_v)
+        return Grid(k_max=self.k_max, V=self.V,
+                    N_v=self.N_v or _auto_nv(self.V, self.k_max, self.t_final))
 
     def weights(self) -> WeightParams:
         return WeightParams(gamma=self.gamma, sigma=self.sigma, delta=self.delta,
@@ -322,8 +329,7 @@ def parse(text: str) -> ExperimentConfig:
 
     grid_ok = k_max >= 1 and V > 0 and math.isfinite(V) and T >= 0 and math.isfinite(T)
     if N_v == 0 and grid_ok:
-        need = required_nv(V, k_max, T)
-        v["N_v"] = N_v = max(256, need + need % 2)
+        v["N_v"] = N_v = _auto_nv(V, k_max, T)
     if N_v < 2 or N_v % 2 != 0:
         if N_v != 0 or grid_ok:  # auto N_v left unresolved is not the user's fault
             bad.append(f"[grid] N_v: need N_v even and >= 2, got {N_v}")

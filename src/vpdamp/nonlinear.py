@@ -24,8 +24,9 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .linear import DensityTrace, cosine_initial_hat, local_maxima
-from .spectral import (Grid, SpectralState, check_resolution, phase_rows, phase_sum,
-                       record_steps, time_steps, trapezoid_convolve)
+from .spectral import (BOUNDARY_DECAY_TOL, BoundaryDecayError, Grid, SpectralState,
+                       check_resolution, phase_rows, record_steps, time_steps,
+                       trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
 
@@ -160,11 +161,7 @@ class _Engine:
                     f"dt = {dt:g} violates dt*k_max*(1+t)*max|E| < 0.5 at t = {t:g}; "
                     f"use dt < {0.5 / (K * (1.0 + t) * emax):.3e}"
                 )
-        # C_l = E_l e^{i l v t}: rows l < 0 are conj(E_|l|) e^{-i |l| v t}, l > 0 their mirror
-        C, prod = self._C, self._prod
-        np.multiply(np.conj(rho / (1j * self._ks))[::-1, None], rows[::-1], out=C[:K])
-        np.conjugate(C[K - 1 :: -1], out=C[K + 1 :])
-
+        C, prod = self.coupling(rho, rows), self._prod
         if self.linear_term:
             # -E_k e^{i k v t} mu'(v), driving row k
             out[1:] -= np.multiply(C[K + 1 :], self.mu_prime, out=prod[:K])
@@ -177,11 +174,24 @@ class _Engine:
             W[K:] = np.fft.ifft(F, axis=-1)
             W[K + 1 :] -= np.multiply((1j * t * self._ks)[:, None], h[1:], out=prod[:K])
             np.conjugate(W[:K:-1], out=W[:K])
-            for l in range(-K, K + 1):  # fixed l order keeps runs bit-identical
-                if l == 0:
-                    continue
-                n = K + 1 + min(l, 0)  # rows k = 0..n-1 keep |k - l| <= K
-                out[:n] -= np.multiply(C[K + l], W[K - l : K - l + n], out=prod[:n])
+            self.mode_convolve(C, W, out)
+
+    def coupling(self, rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """C_l = E_l e^{i l v t} at row K+l of a reused buffer, from rho_1..K and rows at t."""
+        # rows l < 0 are conj(E_|l|) e^{-i |l| v t}, l > 0 their mirror
+        K, C = self.K, self._C
+        np.multiply(np.conj(rho / (1j * self._ks))[::-1, None], rows[::-1], out=C[:K])
+        np.conjugate(C[K - 1 :: -1], out=C[K + 1 :])
+        return C
+
+    def mode_convolve(self, C: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+        """out[k] -= sum_{l != 0, |k-l| <= K} C_l X_{k-l} for rows k = 0..K; X_m at row K+m."""
+        K, prod = self.K, self._prod
+        for l in range(-K, K + 1):  # fixed l order keeps runs bit-identical
+            if l == 0:
+                continue
+            n = K + 1 + min(l, 0)  # rows k = 0..n-1 keep |k - l| <= K
+            out[:n] -= np.multiply(C[K + l], X[K - l : K - l + n], out=prod[:n])
 
     def rhs(self, data: np.ndarray, t: float) -> np.ndarray:
         """Full time derivative at t; rows k < 0 are exact conjugate mirrors."""
@@ -236,6 +246,10 @@ def run(config: RunConfig) -> RunOutput:
     K = g.k_max
     eng = _Engine(g, config.eq, config.linear_term, config.quadratic_term)
     init = initial_state(g, config.eq, config.modes, config.profile)
+    floor = init.boundary_floor()
+    if floor > BOUNDARY_DECAY_TOL:
+        raise BoundaryDecayError(f"initial state has boundary floor {floor:.3e} at |v| = V "
+                                 f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); enlarge V")
     data = init.data.copy()
     N = config.n_steps
     dt = config.dt
@@ -312,9 +326,10 @@ def closure_residual(output: RunOutput) -> float:
     integral.  Both sides are assembled from the run's own dense history
     with the same trapezoid rule; what is NOT shared with the time
     stepper is the identity itself, so the residual measures whether the
-    evolution solved the right equation.  The interaction integral is
-    gathered over (k, l) pairs into running (k, velocity) buffers, turning
-    the naive cubic sweep into one pass over the snapshots.
+    evolution solved the right equation.  The interaction integrand
+    sum_l (k/l) g_{k-l} rho_l e^{i l s v} = i k sum_l C_l g_{k-l} replays the
+    stepper's coupling kernel over the snapshots, and the initial-data
+    moments are read with the same phase rows.
     Raises MissingSnapshotsError unless every step is traced and snapshotted.
     """
     cfg = output.config
@@ -334,9 +349,7 @@ def closure_residual(output: RunOutput) -> float:
         )
 
     v = g.v
-    dv = g.dv
     ks = np.arange(1, K + 1)
-    mu_hat = cfg.eq.mu_hat
 
     # Volterra memory term per mode, trapezoid end-corrected convolution.
     # Disabled terms drop out of the identity the run actually solved.
@@ -346,49 +359,29 @@ def closure_residual(output: RunOutput) -> float:
         rho[k - 1] = output.traces[k].values
         if not cfg.linear_term:
             continue
-        kap = times * np.asarray(mu_hat(k * times), dtype=float)
+        kap = times * np.asarray(cfg.eq.mu_hat(k * times), dtype=float)
         volterra[k - 1] = trapezoid_convolve(kap, rho[k - 1], dt)
 
-    # initial-data moments S0_k(t_n), exact in v
-    init = output.initial_state.data
-    S0 = np.array([dv * phase_sum(-1j * k * times, v, init[K + k]) for k in ks])
-    base = rho + volterra - S0
-
-    if not cfg.quadratic_term:
-        return float(np.max(np.abs(base)))
-
-    # Interaction integral via running accumulators over the snapshot pass.
-    # Pair (k, l) reads mode m = k - l; pairs with |m| > K get zero weight.
-    # The weights k/l do not depend on time, so the l sum is taken per snapshot.
-    ells = np.array([l for l in range(-K, K + 1) if l != 0])
-    m = ks[:, None] - ells[None, :]
-    m_row = K + np.clip(m, -K, K)
-    weight = np.where(np.abs(m) <= K, ks[:, None] / ells[None, :], 0.0)
-    pairs = np.empty((K, ells.size, g.N_v), dtype=np.complex128)
-    f_prev = np.empty((K, g.N_v), dtype=np.complex128)
-    f_cur = np.empty_like(f_prev)
-    P = np.zeros_like(f_prev)
-    Ra = np.zeros_like(f_prev)
-
-    def integrand(n: int, out: np.ndarray) -> np.ndarray:
-        """sum_l (k/l) g_{k-l} rho_l e^{i l s v} at s = times[n]; returns e^{-i k s v}."""
-        rows = phase_rows(times[n], v, K)
-        b_pos = rho[:, n, None] * np.conj(rows)  # l = 1..K; l < 0 are conjugates
-        np.take(snaps[n].data.astype(np.complex128), m_row, axis=0, out=pairs)
-        np.multiply(pairs, np.concatenate([np.conj(b_pos[::-1]), b_pos]), out=pairs)
-        np.einsum("kl,klj->kj", weight, pairs, out=out)
-        return rows
-
-    integrand(0, f_prev)
+    # Running trapezoid sums P = int f ds and Ra = int s f ds of f = -sum_l C_l g_{k-l},
+    # rows k = 0..K; the integrand is -i k f, or nothing without the quadratic term.
+    eng = _Engine(g, cfg.eq, cfg.linear_term, cfg.quadratic_term)
+    init = output.initial_state.data[K + 1 :]
+    weight = -1j * g.dv * ks * cfg.quadratic_term
+    f_prev, f_cur, P, Ra = np.zeros((4, K + 1, g.N_v), dtype=np.complex128)
+    rows = phase_rows(0.0, v, K)
+    eng.mode_convolve(eng.coupling(rho[:, 0], rows), snaps[0].data, f_prev)
     # t = 0: all integrals vanish; residual is rho(0) - S0(0) = 0 by construction
     residual = 0.0
     w = 0.5 * dt
     for n in range(1, N + 1):
-        rows = integrand(n, f_cur)
+        phase_rows(times[n], v, K, rows)
+        f_cur.fill(0.0)
+        eng.mode_convolve(eng.coupling(rho[:, n], rows), snaps[n].data, f_cur)
         P += w * (f_prev + f_cur)
         Ra += w * (times[n - 1] * f_prev + times[n] * f_cur)
-        Q = dv * np.einsum("kj,kj->k", times[n] * P - Ra, rows)
-        residual = max(residual, float(np.max(np.abs(base[:, n] + Q))))
+        S0 = g.dv * np.einsum("kj,kj->k", init, rows)
+        Q = weight * np.einsum("kj,kj->k", times[n] * P[1:] - Ra[1:], rows)
+        residual = max(residual, float(np.max(np.abs(rho[:, n] + volterra[:, n] - S0 + Q))))
         f_prev, f_cur = f_cur, f_prev
     return residual
 

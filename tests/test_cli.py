@@ -81,6 +81,13 @@ class TestParse:
         assert need > 256
         assert cfg.N_v >= need and cfg.N_v % 2 == 0
 
+    def test_directly_built_config_resolves_auto_nv(self):
+        # N_v = 0 is the auto value whether or not the config went through parse
+        parsed, direct = cli.parse(MINIMAL), cli.ExperimentConfig(eq_name="gaussian")
+        assert direct.N_v == 0
+        assert direct.grid() == parsed.grid() == Grid(k_max=4, V=8.0, N_v=256)
+        assert direct.run_config(seed=0).grid == parsed.run_config(seed=0).grid
+
     def test_equilibrium_params_reach_constructor(self):
         cfg = cli.parse("[equilibrium]\nname = two_stream\nparams = 3.0\n")
         assert cfg.eq_params == (3.0,)

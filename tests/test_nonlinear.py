@@ -1,6 +1,7 @@
 """Tests for the nonlinear evolution in the free-transport frame."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from vpdamp.nonlinear import (
     run,
     step,
 )
-from vpdamp.spectral import Grid, phase_rows
+from vpdamp.spectral import BoundaryDecayError, Grid, phase_rows
 
 # Dominant dispersion zero of two_stream(3) at k = 1 (damped on the unit
 # torus), frozen from the Newton root finder cross-checked by quadrature.
@@ -85,6 +86,15 @@ class TestConfig:
     def test_negative_final_time_rejected(self):
         with pytest.raises(ValueError, match="T >= 0"):
             self.base(t_final=-1.0)
+
+    def test_run_refuses_undecayed_initial_state(self):
+        # at V = 3 the Gaussian data keeps about 1e-2 of its peak at v = -V: the
+        # solver would alias it silently, so run refuses before the first step
+        cfg = self.base(grid=Grid(k_max=4, V=3.0, N_v=256))
+        floor = initial_state(cfg.grid, EQ, cfg.modes).boundary_floor()
+        assert floor > 1e-2
+        with pytest.raises(BoundaryDecayError, match=rf"floor {floor:.3e} .*enlarge V"):
+            run(cfg)
 
 
 class TestStateSetup:
@@ -234,6 +244,43 @@ class TestRhsOracle:
             want *= -1j * (etas - k * t)
             scale = max(float(np.max(np.abs(got))), 1e-16)
             assert np.max(np.abs(got - want)) < 1e-10 * scale
+
+
+class TestCouplingKernel:
+    """The stepper's mode convolution, as the closure integrand reads it."""
+
+    @pytest.mark.parametrize("edges_only", [False, True])
+    def test_matches_naive_interaction_sum(self, edges_only):
+        # sum_{l != 0, |k-l| <= K} (k/l) g_{k-l} rho_l e^{i l s v} = -i k (what
+        # mode_convolve subtracts); edges_only keeps just the rows m = +-K, so every
+        # surviving pair sits on the truncation edge k - l = +-K.
+        from vpdamp.nonlinear import _Engine
+
+        g = Grid(k_max=3, V=8.0, N_v=64)
+        K, s = g.k_max, 0.7
+        rng = np.random.default_rng(12)
+        shape = (2 * K + 1, g.N_v)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if edges_only:
+            data[1:-1] = 0.0
+        data[:K] = np.conj(data[:K:-1])
+        data[K] = data[K].real
+        rho_pos = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        rho = {l: rho_pos[l - 1] if l > 0 else np.conj(rho_pos[-l - 1])
+               for l in range(-K, K + 1) if l}
+
+        want = np.zeros((K + 1, g.N_v), dtype=complex)
+        for k in range(K + 1):
+            for l in range(-K, K + 1):
+                if l != 0 and abs(k - l) <= K:
+                    want[k] += (k / l) * data[K + k - l] * rho[l] * np.exp(1j * l * s * g.v)
+
+        eng = _Engine(g, EQ, True, True)
+        out = np.zeros((K + 1, g.N_v), dtype=complex)
+        eng.mode_convolve(eng.coupling(rho_pos, phase_rows(s, g.v, K)), data, out)
+        got = -1j * np.arange(K + 1)[:, None] * out
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def full_row_rhs(data, t, g, eq):
@@ -396,6 +443,21 @@ class TestClosure:
         cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-3, 0.0),),
                         linear_term=False, quadratic_term=False, snapshot_stride=1)
         assert closure_residual(run(cfg)) < 1e-14
+
+    def test_holds_no_mode_pair_buffer(self):
+        # The closure reuses the stepper's row-slice kernel; a (k, l) gather would
+        # hold a (K, 2K, N_v) complex128 buffer at every snapshot.
+        g = Grid(k_max=16, V=8.0, N_v=256)
+        cfg = RunConfig(eq=EQ, grid=g, dt=1e-2, t_final=0.5,
+                        modes=((1, 1e-2, 0.0), (3, 1e-2, 0.5)), snapshot_stride=1)
+        out = run(cfg)
+        tracemalloc.start()
+        try:
+            assert closure_residual(out) < 1e-6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.k_max * 2 * g.k_max * g.N_v * 16
 
     def test_requires_dense_traces(self):
         cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-3, 0.0),),

@@ -94,3 +94,36 @@ def test_traced_bindings_resolve():
     missing = [f"{module}.{name}" for module, name in pairs
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"traced names no longer bound: {missing}"
+
+
+def _coupling_loops(tree) -> list:
+    """Enclosing def of each loop or comprehension taking l over a range of modes."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        for loop in loops:
+            callee = getattr(loop.iter, "func", None)
+            name = getattr(callee, "id", getattr(callee, "attr", None))
+            if getattr(loop.target, "id", None) == "l" and name in ("range", "arange"):
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_mode_convolution_kernel():
+    # The stepper and the closure residual share _Engine.mode_convolve for the
+    # coupling sum over l; the Picard oracle's loop over the data modes is a
+    # different sum and iterates no range.  The closure reads S0 from the phase
+    # rows it already builds, not from a dense phase_sum.
+    path = Path(vpdamp.__file__).parent / "nonlinear.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _coupling_loops(tree) == ["_Engine.mode_convolve"]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert "phase_sum" not in imported
