@@ -4,9 +4,11 @@ The state is the perturbation's Fourier-in-x coefficients sampled on the
 velocity grid, advanced in the frame where free streaming is the
 identity.  The mixed (k, v) representation makes the frequency shift of
 the coupling term an exact multiplication by e^{i l v t}; no eta-space
-interpolation enters the hot loop.  Densities are read off by
-oscillatory moments at phase rate k t, so the resolution rule of the
-spectral module is the only sampling constraint.
+interpolation enters the hot loop.  As e^{i l v t} = e^{i k v t} e^{-i m v t}
+(m = k - l), the sum over l is one Toeplitz matrix of field amplitudes
+times the phase-rotated rows.  Densities are read off by oscillatory
+moments at phase rate k t, so the resolution rule of the spectral module
+is the only sampling constraint.
 
 Reality of the underlying distribution (g_{-k} = conj(g_k)) is kept by
 construction: the RK4 stepper advances only the rows k >= 0 and mirrors
@@ -126,12 +128,35 @@ def initial_state(grid: Grid, eq: Equilibrium, modes, profile: Optional[Equilibr
     return SpectralState(grid, data, t)
 
 
-class _Engine:
+class _Coupling:
+    """-sum_{l != 0, |k-l| <= K} E_l e^{i l v t} X_{k-l} for rows k = 0..K as e^{i k v t} (T Z)_k:
+    Z_m = e^{-i m v t} X_m, T_km = -E_{k-m} a (K+1) x (2K+1) Toeplitz matrix (m = k - l)."""
+
+    def __init__(self, K: int, N_v: int):
+        self.K = K
+        self._ks = np.arange(1, K + 1)
+        k, m = np.ogrid[0 : K + 1, -K : K + 1]
+        self._index = np.where(np.abs(k - m) <= K, K + k - m, K)  # into -E_l at K+l; E_0 = 0
+        self._Z = np.empty((2 * K + 1, N_v), dtype=np.complex128)  # row K+m
+        self._up = np.empty((K, N_v), dtype=np.complex128)
+
+    def product(self, rho: np.ndarray, rows: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+        """The sum into out, from rho_1..K, phase_rows at t and X_0..X_K (X_-m = conj X_m)."""
+        K, Z = self.K, self._Z
+        Z[K] = X[0]
+        np.multiply(X[1:], rows, out=Z[K + 1 :])
+        np.conjugate(Z[:K:-1], out=Z[:K])
+        E = 1j * rho / self._ks  # -E_l for l = 1..K
+        np.matmul(np.concatenate((np.conj(E[::-1]), [0.0], E))[self._index], Z, out=out)
+        out[1:] *= np.conjugate(rows, out=self._up)  # e^{i k v t}
+
+
+class _Engine(_Coupling):
     """Grid machinery and preallocated buffers for the stepper of rows k = 0..k_max."""
 
     def __init__(self, grid: Grid, eq: Equilibrium, linear_term: bool,
                  quadratic_term: bool):
-        self.K = K = grid.k_max
+        super().__init__(grid.k_max, grid.N_v)
         self.v = grid.v
         self.dv = grid.dv
         self.linear_term = linear_term
@@ -140,18 +165,15 @@ class _Engine:
         xi = 2.0 * np.pi * np.fft.fftfreq(grid.N_v, d=grid.dv)
         xi[grid.N_v // 2] = 0.0  # unpaired odd mode has no consistent derivative
         self._deriv_symbol = 1j * xi
-        self._ks = np.arange(1, K + 1)
-        self._W = np.empty((2 * K + 1, grid.N_v), dtype=np.complex128)  # row K+m
-        self._C = np.empty_like(self._W)  # E_l e^{i l v t} at row K+l
-        self._prod, self._y, self._acc, self._k = np.empty((4, K + 1, grid.N_v),
+        self._prod, self._y, self._acc, self._k = np.empty((4, self.K + 1, grid.N_v),
                                                            dtype=np.complex128)
 
     def _stage(self, h: np.ndarray, t: float, rows: np.ndarray, out: np.ndarray,
                dt: Optional[float] = None) -> None:
         """d/dt of h = data[k_max:] into out, given phase_rows at t; dt checks stability."""
         K = self.K
-        out.fill(0.0)
         if not (self.linear_term or self.quadratic_term):
+            out.fill(0.0)
             return
         rho = self.dv * np.einsum("kj,kj->k", h[1:], rows)
         if dt is not None:
@@ -161,37 +183,16 @@ class _Engine:
                     f"dt = {dt:g} violates dt*k_max*(1+t)*max|E| < 0.5 at t = {t:g}; "
                     f"use dt < {0.5 / (K * (1.0 + t) * emax):.3e}"
                 )
-        C, prod = self.coupling(rho, rows), self._prod
-        if self.linear_term:
-            # -E_k e^{i k v t} mu'(v), driving row k
-            out[1:] -= np.multiply(C[K + 1 :], self.mu_prime, out=prod[:K])
-
-        if self.quadratic_term:
-            # W_m = d_v g_m - i m t g_m; negative m and l are conjugate mirrors
-            W = self._W
+        if self.quadratic_term:  # both terms in one product: X_m = d_v g_m - i m t g_m, mu' in X_0
             F = np.fft.fft(h, axis=-1)
             F *= self._deriv_symbol
-            W[K:] = np.fft.ifft(F, axis=-1)
-            W[K + 1 :] -= np.multiply((1j * t * self._ks)[:, None], h[1:], out=prod[:K])
-            np.conjugate(W[:K:-1], out=W[:K])
-            self.mode_convolve(C, W, out)
-
-    def coupling(self, rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """C_l = E_l e^{i l v t} at row K+l of a reused buffer, from rho_1..K and rows at t."""
-        # rows l < 0 are conj(E_|l|) e^{-i |l| v t}, l > 0 their mirror
-        K, C = self.K, self._C
-        np.multiply(np.conj(rho / (1j * self._ks))[::-1, None], rows[::-1], out=C[:K])
-        np.conjugate(C[K - 1 :: -1], out=C[K + 1 :])
-        return C
-
-    def mode_convolve(self, C: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        """out[k] -= sum_{l != 0, |k-l| <= K} C_l X_{k-l} for rows k = 0..K; X_m at row K+m."""
-        K, prod = self.K, self._prod
-        for l in range(-K, K + 1):  # fixed l order keeps runs bit-identical
-            if l == 0:
-                continue
-            n = K + 1 + min(l, 0)  # rows k = 0..n-1 keep |k - l| <= K
-            out[:n] -= np.multiply(C[K + l], X[K - l : K - l + n], out=prod[:n])
+            X = np.fft.ifft(F, axis=-1)
+            X[1:] -= np.multiply((1j * t * self._ks)[:, None], h[1:], out=self._prod[:K])
+        else:
+            X = np.zeros_like(h)
+        if self.linear_term:
+            X[0] += self.mu_prime
+        self.product(rho, rows, X, out)
 
     def rhs(self, data: np.ndarray, t: float) -> np.ndarray:
         """Full time derivative at t; rows k < 0 are exact conjugate mirrors."""
@@ -364,19 +365,18 @@ def closure_residual(output: RunOutput) -> float:
 
     # Running trapezoid sums P = int f ds and Ra = int s f ds of f = -sum_l C_l g_{k-l},
     # rows k = 0..K; the integrand is -i k f, or nothing without the quadratic term.
-    eng = _Engine(g, cfg.eq, cfg.linear_term, cfg.quadratic_term)
+    coupling = _Coupling(K, g.N_v)
     init = output.initial_state.data[K + 1 :]
     weight = -1j * g.dv * ks * cfg.quadratic_term
     f_prev, f_cur, P, Ra = np.zeros((4, K + 1, g.N_v), dtype=np.complex128)
     rows = phase_rows(0.0, v, K)
-    eng.mode_convolve(eng.coupling(rho[:, 0], rows), snaps[0].data, f_prev)
+    coupling.product(rho[:, 0], rows, snaps[0].data[K:], f_prev)
     # t = 0: all integrals vanish; residual is rho(0) - S0(0) = 0 by construction
     residual = 0.0
     w = 0.5 * dt
     for n in range(1, N + 1):
         phase_rows(times[n], v, K, rows)
-        f_cur.fill(0.0)
-        eng.mode_convolve(eng.coupling(rho[:, n], rows), snaps[n].data, f_cur)
+        coupling.product(rho[:, n], rows, snaps[n].data[K:], f_cur)
         P += w * (f_prev + f_cur)
         Ra += w * (times[n - 1] * f_prev + times[n] * f_cur)
         S0 = g.dv * np.einsum("kj,kj->k", init, rows)

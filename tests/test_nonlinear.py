@@ -249,14 +249,16 @@ class TestRhsOracle:
 class TestCouplingKernel:
     """The stepper's mode convolution, as the closure integrand reads it."""
 
-    @pytest.mark.parametrize("edges_only", [False, True])
-    def test_matches_naive_interaction_sum(self, edges_only):
+    @pytest.mark.parametrize("edges_only, k_max", [  # K = 3 keeps the ids [False], [True]
+        pytest.param(edges, k, id=str(edges) if k == 3 else f"{edges}-K{k}")
+        for k in (3, 16, 32) for edges in (False, True)])
+    def test_matches_naive_interaction_sum(self, edges_only, k_max):
         # sum_{l != 0, |k-l| <= K} (k/l) g_{k-l} rho_l e^{i l s v} = -i k (what
-        # mode_convolve subtracts); edges_only keeps just the rows m = +-K, so every
+        # product writes); edges_only keeps just the rows m = +-K, so every
         # surviving pair sits on the truncation edge k - l = +-K.
         from vpdamp.nonlinear import _Engine
 
-        g = Grid(k_max=3, V=8.0, N_v=64)
+        g = Grid(k_max=k_max, V=8.0, N_v=64)
         K, s = g.k_max, 0.7
         rng = np.random.default_rng(12)
         shape = (2 * K + 1, g.N_v)
@@ -277,13 +279,13 @@ class TestCouplingKernel:
 
         eng = _Engine(g, EQ, True, True)
         out = np.zeros((K + 1, g.N_v), dtype=complex)
-        eng.mode_convolve(eng.coupling(rho_pos, phase_rows(s, g.v, K)), data, out)
+        eng.product(rho_pos, phase_rows(s, g.v, K), data[K:], out)
         got = -1j * np.arange(K + 1)[:, None] * out
         assert np.max(np.abs(want)) > 0.1
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def full_row_rhs(data, t, g, eq):
+def full_row_rhs(data, t, g, eq, linear=True, quadratic=True):
     """Reference rhs: every row m = -K..K transformed and convolved, then mirrored."""
     K = g.k_max
     ms = np.arange(-K, K + 1)
@@ -294,10 +296,10 @@ def full_row_rhs(data, t, g, eq):
     xi = 2.0 * np.pi * np.fft.fftfreq(g.N_v, d=g.dv)
     xi[g.N_v // 2] = 0.0
     W = np.fft.ifft(1j * xi * np.fft.fft(data, axis=-1), axis=-1) - 1j * t * ms[:, None] * data
-    out = -(E[:, None] * up) * eq.mu_prime(g.v)
+    out = -(E[:, None] * up) * eq.mu_prime(g.v) * linear
     for k in ms:
         for l in ms:
-            if l != 0 and abs(k - l) <= K:
+            if quadratic and l != 0 and abs(k - l) <= K:
                 out[K + k] -= E[K + l] * up[K + l] * W[K + k - l]
     out[:K] = np.conj(out[:K:-1])
     return out
@@ -336,6 +338,23 @@ class TestHalfModeStepper:
         got = _Engine(g, EQ, True, True).rhs(state.data, state.t)
         assert np.array_equal(got[:K], np.conj(got[:K:-1]))
         want = full_row_rhs(state.data, state.t, g, EQ)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("linear, quadratic", [(True, False), (False, True), (True, True)])
+    def test_rhs_term_switches_at_k8(self, linear, quadratic):
+        # the linear term rides in the m = 0 column of the coupling product, so
+        # each switch is checked on its own; every row of the state is filled
+        from vpdamp.nonlinear import _Engine
+
+        g = Grid(k_max=8, V=8.0, N_v=512)
+        K = g.k_max
+        rng = np.random.default_rng(8)
+        data = (rng.standard_normal((2 * K + 1, g.N_v))
+                + 1j * rng.standard_normal((2 * K + 1, g.N_v))) * 1e-2 * EQ.mu(g.v)
+        data[:K] = np.conj(data[:K:-1])
+        data[K] = data[K].real
+        got = _Engine(g, EQ, linear, quadratic).rhs(data, 1.3)
+        want = full_row_rhs(data, 1.3, g, EQ, linear, quadratic)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_reality_drift_stays_at_rounding(self, out):
@@ -445,7 +464,7 @@ class TestClosure:
         assert closure_residual(run(cfg)) < 1e-14
 
     def test_holds_no_mode_pair_buffer(self):
-        # The closure reuses the stepper's row-slice kernel; a (k, l) gather would
+        # The closure reuses the stepper's product kernel; a (k, l) gather would
         # hold a (K, 2K, N_v) complex128 buffer at every snapshot.
         g = Grid(k_max=16, V=8.0, N_v=256)
         cfg = RunConfig(eq=EQ, grid=g, dt=1e-2, t_final=0.5,

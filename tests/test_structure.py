@@ -96,19 +96,15 @@ def test_traced_bindings_resolve():
     assert not missing, f"traced names no longer bound: {missing}"
 
 
-def _coupling_loops(tree) -> list:
-    """Enclosing def of each loop or comprehension taking l over a range of modes."""
+def _scoped(tree, match) -> list:
+    """Enclosing def, dotted, of each node for which match(node) holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
-        for loop in loops:
-            callee = getattr(loop.iter, "func", None)
-            name = getattr(callee, "id", getattr(callee, "attr", None))
-            if getattr(loop.target, "id", None) == "l" and name in ("range", "arange"):
-                found.append(".".join(scope))
+        if match(node):
+            found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -116,14 +112,32 @@ def _coupling_loops(tree) -> list:
     return found
 
 
+def _takes_l_over_range(node) -> bool:
+    """A loop or comprehension taking l over a range of modes."""
+    loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+    for loop in loops:
+        callee = getattr(loop.iter, "func", None)
+        name = getattr(callee, "id", getattr(callee, "attr", None))
+        if getattr(loop.target, "id", None) == "l" and name in ("range", "arange"):
+            return True
+    return False
+
+
+def _calls(attr):
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
+
+
 def test_one_mode_convolution_kernel():
-    # The stepper and the closure residual share _Engine.mode_convolve for the
-    # coupling sum over l; the Picard oracle's loop over the data modes is a
-    # different sum and iterates no range.  The closure reads S0 from the phase
-    # rows it already builds, not from a dense phase_sum.
+    # The coupling sum over l is one Toeplitz matrix product in _Coupling.product,
+    # which the stepper's stage and the closure residual both call; no loop over l
+    # is left (the Picard oracle's loop over the data modes is a different sum and
+    # iterates no range).  The closure reads S0 from the phase rows it already
+    # builds, not from a dense phase_sum.
     path = Path(vpdamp.__file__).parent / "nonlinear.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _coupling_loops(tree) == ["_Engine.mode_convolve"]
+    assert _scoped(tree, _takes_l_over_range) == []
+    assert _scoped(tree, _calls("matmul")) == ["_Coupling.product"]
+    assert set(_scoped(tree, _calls("product"))) == {"_Engine._stage", "closure_residual"}
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     assert "phase_sum" not in imported
