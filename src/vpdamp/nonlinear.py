@@ -129,8 +129,8 @@ def initial_state(grid: Grid, eq: Equilibrium, modes, profile: Optional[Equilibr
 
 
 class _Coupling:
-    """-sum_{l != 0, |k-l| <= K} E_l e^{i l v t} X_{k-l} for rows k = 0..K as e^{i k v t} (T Z)_k:
-    Z_m = e^{-i m v t} X_m, T_km = -E_{k-m} a (K+1) x (2K+1) Toeplitz matrix (m = k - l)."""
+    """-sum_{l != 0, |k-l| <= K} E_l e^{i l v t} X_{k-l}, k = 0..K, as e^{i k v t} (T Z)_k, where
+    Z_m = e^{-i m v t} X_m and T_km = -E_{k-m} is a (K+1) x (2K+1) Toeplitz matrix (m = k - l)."""
 
     def __init__(self, K: int, N_v: int):
         self.K = K
