@@ -314,6 +314,11 @@ def parse(text: str) -> ExperimentConfig:
     if name in _EQUILIBRIA and len(v["eq_params"]) != _EQUILIBRIA[name][1]:
         bad.append(f"[equilibrium] params: {name} takes exactly {_EQUILIBRIA[name][1]} "
                    f"parameter(s), got {len(v['eq_params'])}")
+    elif name in _EQUILIBRIA:
+        try:
+            _EQUILIBRIA[name][0](*v["eq_params"])
+        except ValueError as exc:
+            bad.append(f"[equilibrium] params: {exc}")
 
     k_max, V, T, N_v = v["k_max"], v["V"], v["t_final"], v["N_v"]
     if k_max < 1:

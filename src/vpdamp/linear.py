@@ -33,8 +33,7 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .penrose import laplace_symbol, strip_width
-from .spectral import (GREGORY_WEIGHTS, SpectralState, chirp_sum, fft_convolve,
-                       oscillatory_moment, time_steps, trapezoid_convolve)
+from .spectral import GREGORY_WEIGHTS, chirp_sum, fft_convolve, time_steps, trapezoid_convolve
 
 TRACE_FLOOR = 1e-14
 EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
@@ -62,18 +61,11 @@ class DensityTrace:
         return self.values / (1j * self.k)
 
 
-def source_from_initial(f0, k: int, times) -> np.ndarray:
-    """Source samples S_k(t) = f0_hat_{k, k t}.
-
-    f0 is either a closed-form transform callable hat0(k, eta) or a
-    SpectralState at t = 0 (evaluated through oscillatory_moment, so the
-    resolution gate applies).
-    """
+def source_from_initial(hat0: Callable, k: int, times) -> np.ndarray:
+    """Source samples S_k(t) = hat0(k, k t) from the closed-form transform hat0(k, eta)
+    of the initial data, such as `cosine_initial_hat` returns; a scalar time gives a scalar."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    if isinstance(f0, SpectralState):
-        out = np.array([oscillatory_moment(f0, k, k * tt) for tt in t])
-    else:
-        out = np.asarray(f0(k, k * t), dtype=complex)
+    out = np.asarray(hat0(k, k * t), dtype=complex)
     return out if np.ndim(times) else complex(out[0])
 
 

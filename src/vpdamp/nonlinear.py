@@ -178,11 +178,11 @@ class _Engine(_Coupling):
         rho = self.dv * np.einsum("kj,kj->k", h[1:], rows)
         if dt is not None:
             emax = float(np.max(np.abs(rho) / self._ks))
-            if dt * K * (1.0 + t) * emax >= 0.5:
-                raise StabilityError(
-                    f"dt = {dt:g} violates dt*k_max*(1+t)*max|E| < 0.5 at t = {t:g}; "
-                    f"use dt < {0.5 / (K * (1.0 + t) * emax):.3e}"
-                )
+            if not dt * K * (1.0 + t) * emax < 0.5:  # a NaN field fails too
+                fix = (f"use dt < {0.5 / (K * (1.0 + t) * emax):.3e}" if math.isfinite(emax)
+                       else f"the field is not finite (max|E| = {emax})")
+                raise StabilityError(f"dt = {dt:g} violates dt*k_max*(1+t)*max|E| < 0.5 "
+                                     f"at t = {t:g}; {fix}")
         if self.quadratic_term:  # both terms in one product: X_m = d_v g_m - i m t g_m, mu' in X_0
             F = np.fft.fft(h, axis=-1)
             F *= self._deriv_symbol
@@ -248,9 +248,10 @@ def run(config: RunConfig) -> RunOutput:
     eng = _Engine(g, config.eq, config.linear_term, config.quadratic_term)
     init = initial_state(g, config.eq, config.modes, config.profile)
     floor = init.boundary_floor()
-    if floor > BOUNDARY_DECAY_TOL:
+    if not floor <= BOUNDARY_DECAY_TOL:  # a NaN floor fails too
+        fix = "enlarge V" if math.isfinite(floor) else "the state is not finite"
         raise BoundaryDecayError(f"initial state has boundary floor {floor:.3e} at |v| = V "
-                                 f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); enlarge V")
+                                 f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); {fix}")
     data = init.data.copy()
     N = config.n_steps
     dt = config.dt

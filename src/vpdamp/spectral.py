@@ -202,20 +202,6 @@ class SpectralState:
         return float(np.max(edges) / scale)
 
 
-def state_from_modes(grid: Grid, modes: dict[int, np.ndarray], t: float = 0.0) -> SpectralState:
-    """Build a state from coefficients for k >= 0, filling k < 0 by reality."""
-    st = SpectralState.zeros(grid, t)
-    for k, vals in modes.items():
-        if k < 0:
-            raise ValueError("give nonnegative k only; negatives follow by reality")
-        st.data[grid.mode_index(k)] = vals
-        if k > 0:
-            st.data[grid.mode_index(-k)] = np.conj(vals)
-    if 0 in modes:
-        st.data[grid.mode_index(0)] = np.real(modes[0])
-    return st
-
-
 def _check_boundary(state: SpectralState, k=None, tol: float = BOUNDARY_DECAY_TOL) -> None:
     """Raise BoundaryDecayError unless mode k (every mode if None) has decayed at |v| = V."""
     scale = np.max(np.abs(state.data))
@@ -257,12 +243,6 @@ def to_eta(state: SpectralState, k: int) -> np.ndarray:
     return _eta_transform(state.grid, state.mode(k))
 
 
-def from_eta(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Inverse of to_eta: recover g_k(v_j) from ascending eta samples."""
-    spec = np.fft.ifftshift(values * _alternating_signs(grid.N_v))
-    return np.fft.ifft(spec) / grid.dv
-
-
 def eta_derivative(state: SpectralState, k: int) -> np.ndarray:
     """d/deta of the velocity transform: the transform of (-i v) g_k(v)."""
     _check_boundary(state, k)
@@ -276,29 +256,6 @@ def eta_tables(state: SpectralState) -> tuple:
     _check_boundary(state)
     g = state.grid
     return _eta_transform(g, state.data), _eta_transform(g, (-1j * g.v) * state.data)
-
-
-def oscillatory_moment(state: SpectralState, k: int, phase_rate: float) -> complex:
-    """Weighted velocity integral of mode k: dv-trapezoid of g_k(v) e^{-i a v}.
-
-    With a = k*t this is the density coefficient rho_k(t) of the pulled-back
-    distribution.  On decayed periodic data the trapezoid and the plain
-    dv-weighted sum coincide, and the result equals the band-limited
-    interpolation of to_eta at eta = a.
-
-    Raises ResolutionError if |a|*dv >= pi: the phase would alias, and the
-    error names the N_v that resolves it.
-    """
-    g = state.grid
-    a = float(phase_rate)
-    if abs(a) * g.dv >= np.pi:
-        need = required_nv(g.V, 1, abs(a))
-        raise ResolutionError(
-            f"phase rate |a| = {abs(a):.6g} needs dv < {np.pi / abs(a):.3e} "
-            f"(N_v >= {need}), grid has dv = {g.dv:.3e} (N_v = {g.N_v})"
-        )
-    _check_boundary(state, k)
-    return complex(g.dv * np.sum(state.mode(k) * np.exp(-1j * a * g.v)))
 
 
 def phase_rows(a: float, v: np.ndarray, n: int, out=None) -> np.ndarray:

@@ -167,6 +167,15 @@ x = 1
         with pytest.raises(cli.ConfigError, match="exactly 1 parameter"):
             cli.parse("[equilibrium]\nname = two_stream\n")
 
+    @pytest.mark.parametrize("u", ["nan", "inf", "-1"])
+    def test_two_stream_separation_refused_with_the_rest(self, u):
+        # the constructor's refusal is a parse-time violation, listed with the others
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse(f"[equilibrium]\nname = two_stream\nparams = {u}\n[grid]\nk_max = 0\n")
+        assert [line.split(":")[0] for line in err.value.violations] == [
+            "[equilibrium] params", "[grid] k_max"]
+        assert "stream separation must be finite and >= 0" in err.value.violations[0]
+
 
 class TestEchoRoundTrip:
     def test_minimal_round_trips(self):
@@ -450,6 +459,14 @@ class TestExitCodesAndFlags:
         assert cli.main(["penrose", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "3*gamma > 1 + 2*delta" in err and "sigma > 3 + delta" in err
+
+    @pytest.mark.parametrize("command", ["penrose", "linear", "nonlinear"])
+    def test_non_finite_separation_exits_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, config_text(tmp_path / "o", name="two_stream",
+                                                  params="nan", formats="json"))
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert "[equilibrium] params" in capsys.readouterr().err
+        assert not (tmp_path / "o" / f"{command}.json").exists()
 
     def test_seed_without_random_data_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpdamp.equilibria import gaussian, two_stream, verify_decay, zero
+from vpdamp.equilibria import gaussian, two_stream, zero
 
 
 def transform_quad(mu, eta, v_cut=24.0, dv=0.02):
@@ -39,18 +39,12 @@ class TestGaussian:
         assert np.max(np.abs(fd - eq.mu_prime(v))) < 1e-9
 
     def test_envelope(self):
-        rep = verify_decay(gaussian())
-        assert rep.ok
-        # ratio peaks at exactly 1 at eta = 1
-        assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
-        assert rep.worst_eta == pytest.approx(1.0, abs=1e-2)
-        assert rep.max_ratio_weighted <= 1.0
-        assert rep.closed_form_error < 1e-9
-
-    def test_weighted_transform_value(self):
-        # second moment of (1 + v^2) mu is 2 at eta = 0
+        # |mu_hat| e^{theta0 |eta|} / C0 = e^{-(|eta| - 1)^2 / 2} peaks at exactly 1 at eta = 1
         eq = gaussian()
-        assert eq.weighted_hat(0.0) == pytest.approx(2.0, abs=1e-14)
+        eta = np.linspace(0.0, 40.0, 4001)
+        ratio = np.abs(eq.mu_hat(eta)) * np.exp(eq.theta0 * eta) / eq.C0
+        assert np.max(ratio) == pytest.approx(1.0, abs=1e-12)
+        assert eta[np.argmax(ratio)] == pytest.approx(1.0, abs=1e-2)
 
 
 class TestTwoStream:
@@ -87,21 +81,14 @@ class TestTwoStream:
         fd = (eq.mu(v + h) - eq.mu(v - h)) / (2.0 * h)
         assert np.max(np.abs(fd - eq.mu_prime(v))) < 1e-9
 
-    def test_envelope_dominated_by_gaussian(self):
-        # |cos| <= 1, so the Gaussian constants still certify mu_hat
-        rep = verify_decay(two_stream(3.0))
-        assert rep.ok
-        assert rep.max_ratio <= 1.0 + 1e-12
-        assert rep.closed_form_error < 1e-9
-
-    def test_weighted_constant_scales_with_separation(self):
-        # second moment 1 + u^2 pushes the weighted peak up
-        assert two_stream(3.0).weighted_hat(0.0) == pytest.approx(11.0, abs=1e-12)
-        assert two_stream(3.0).C0_w > two_stream(1.0).C0_w
-
     def test_negative_separation_rejected(self):
         with pytest.raises(ValueError):
             two_stream(-1.0)
+
+    @pytest.mark.parametrize("u", [np.nan, np.inf])
+    def test_non_finite_separation_rejected(self, u):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            two_stream(u)
 
 
 class TestZeroStub:
@@ -112,13 +99,19 @@ class TestZeroStub:
         assert np.all(eq.mu_hat(v) == 0.0)
         assert np.all(eq.mu_prime(v) == 0.0)
 
-    def test_decay_report_trivial(self):
-        rep = verify_decay(zero())
-        assert rep.ok
-        assert rep.max_ratio == 0.0
-        assert rep.max_ratio_weighted == 0.0
+
+CATALOG = {"gaussian": gaussian(), **{f"two_stream-{u:g}": two_stream(u) for u in (0, 1, 3, 5)},
+           "zero": zero()}
 
 
-def test_eta_max_validation():
-    with pytest.raises(ValueError):
-        verify_decay(gaussian(), eta_max=-1.0)
+@pytest.mark.parametrize("eq", CATALOG.values(), ids=CATALOG.keys())
+def test_catalog_envelope(eq):
+    """The declared bounds hold on a grid: |mu_hat| <= C0 e^{-theta0 |eta|}, and
+    log|mu_hat| <= hat_log_envelope where one is declared (penrose._cutoff relies on it)."""
+    eta = np.linspace(-40.0, 40.0, 8001)
+    mag = np.abs(np.asarray(eq.mu_hat(eta), dtype=complex))
+    assert np.all(mag <= eq.C0 * np.exp(-eq.theta0 * np.abs(eta)) * (1.0 + 1e-12))
+    if eq.hat_log_envelope is not None:
+        normal = mag >= np.finfo(float).tiny  # subnormal values carry too few digits for a log
+        bound = eq.hat_log_envelope(eta[normal])
+        assert np.all(np.log(mag[normal]) <= bound + 1e-12 * np.maximum(1.0, np.abs(bound)))

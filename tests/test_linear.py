@@ -19,7 +19,7 @@ from vpdamp.linear import (
     source_from_initial,
     volterra_solve,
 )
-from vpdamp.spectral import Grid, SpectralState, chirp_sum, phase_sum
+from vpdamp.spectral import chirp_sum, phase_sum
 
 # Dominant Landau root of the gaussian background at k = 1, frozen from an
 # independent trapezoid-quadrature Newton oracle.
@@ -74,16 +74,6 @@ class TestSource:
     def test_absent_mode_is_zero(self):
         hat0, _ = single_mode_source()
         assert np.all(source_from_initial(hat0, 3, np.linspace(0, 2, 5)) == 0)
-
-    def test_spectral_state_path_matches_closed_form(self):
-        g = Grid(k_max=2, V=8.0, N_v=256)
-        st = SpectralState.zeros(g)
-        st.data[g.mode_index(1)] = 0.5 * EPS * EQ.mu(g.v)
-        st.data[g.mode_index(-1)] = 0.5 * EPS * EQ.mu(g.v)
-        hat0, _ = single_mode_source()
-        t = np.linspace(0.0, 3.0, 7)
-        got = source_from_initial(st, 1, t)
-        assert np.max(np.abs(got - hat0(1, t))) < 1e-12
 
     def test_scalar_time_returns_scalar(self):
         hat0, _ = single_mode_source()

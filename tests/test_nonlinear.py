@@ -96,6 +96,18 @@ class TestConfig:
         with pytest.raises(BoundaryDecayError, match=rf"floor {floor:.3e} .*enlarge V"):
             run(cfg)
 
+    def test_run_refuses_non_finite_initial_state(self):
+        # a NaN floor compares False with every tolerance; the check must still fail
+        bad = dataclasses.replace(EQ, mu=lambda v: np.full(np.shape(v), np.nan))
+        with pytest.raises(BoundaryDecayError, match="floor nan .*the state is not finite"):
+            run(self.base(eq=bad))
+
+    def test_stability_check_refuses_non_finite_field(self):
+        # finite data, NaN mu': step 1 poisons the state, step 2's stability check sees it
+        bad = dataclasses.replace(EQ, mu_prime=lambda v: np.full(np.shape(v), np.nan))
+        with pytest.raises(StabilityError, match=r"at t = 0\.01; the field is not finite"):
+            run(self.base(eq=bad))
+
 
 class TestStateSetup:
     def test_initial_rows_closed_form(self):

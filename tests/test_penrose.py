@@ -203,6 +203,11 @@ class TestMargin:
         with pytest.raises(ValueError):
             margin(gaussian(), k_max_scan=0)
 
+    def test_k_tail_bound_must_cover_the_unscanned_modes(self):
+        # 1 - C0/(theta0 k)^2 > 0 needs k >= sqrt(40) ~ 6.32 > k_max_scan + 1 = 5
+        with pytest.raises(ValueError, match=r"too small: envelope tail bound covers only k >= 6\.32"):
+            margin(dataclasses.replace(gaussian(), C0=40.0), k_max_scan=4)
+
 
 class TestStripWidth:
     def test_gaussian_hits_cap(self):
