@@ -31,6 +31,7 @@ from .spectral import (BOUNDARY_DECAY_TOL, BoundaryDecayError, Grid, SpectralSta
                        trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
+PICARD_STEPS = 4000  # trapezoid steps of the second-iterate time integral
 
 
 class StabilityError(RuntimeError):
@@ -60,8 +61,9 @@ class RunConfig:
         time_steps(self.dt, self.t_final)
         check_resolution(self.grid.V, self.grid.k_max, self.grid.N_v, self.t_final)
         for km, amp, off in self.modes:
-            if int(km) <= 0 or int(km) > self.grid.k_max:
-                raise ValueError(f"initial mode k = {km} must lie in 1..{self.grid.k_max}")
+            if not (float(km).is_integer() and 1 <= km <= self.grid.k_max):
+                raise ValueError(
+                    f"initial mode k = {km} must be an integer in 1..{self.grid.k_max}")
             if not np.isfinite(amp) or not np.isfinite(off):
                 raise ValueError("mode amplitudes and offsets must be finite")
         if self.trace_stride < 1 or self.snapshot_stride < 0:
@@ -115,8 +117,8 @@ def field(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def initial_state(grid: Grid, eq: Equilibrium, modes, profile: Optional[Equilibrium] = None,
-                  t: float = 0.0) -> SpectralState:
+def initial_state(grid: Grid, eq: Equilibrium, modes,
+                  profile: Optional[Equilibrium] = None) -> SpectralState:
     """Perturbation sum_j amp_j cos(k_j x + eta_j v) M(v) as a spectral state."""
     M = (profile if profile is not None else eq).mu(grid.v)
     data = np.zeros((grid.n_modes, grid.N_v), dtype=np.complex128)
@@ -125,7 +127,7 @@ def initial_state(grid: Grid, eq: Equilibrium, modes, profile: Optional[Equilibr
         osc = np.exp(1j * off * grid.v)
         data[grid.mode_index(km)] += 0.5 * amp * osc * M
         data[grid.mode_index(-km)] += 0.5 * amp * np.conj(osc) * M
-    return SpectralState(grid, data, t)
+    return SpectralState(grid, data)
 
 
 class _Coupling:
@@ -202,17 +204,16 @@ class _Engine(_Coupling):
         np.conjugate(out[:K:-1], out=out[:K])
         return out
 
-    def rk4(self, data: np.ndarray, t: float, dt: float, rows=None) -> float:
+    def rk4(self, data: np.ndarray, t: float, dt: float) -> float:
         """One stability-checked classical step of rows k >= 0 in place, then the mirror.
 
-        rows, phase_rows at t if given, is the buffer every stage's rows are built
-        in.  Rows k != 0 leave as exact mirrors, so clearing Im g_0 re-enforces
+        Rows k != 0 leave as exact mirrors, so clearing Im g_0 re-enforces
         reality; its size before clearing is returned as the step's drift.
         """
         K = self.K
         h = data[K:]
         acc, y, k = self._acc, self._y, self._k  # acc sums k1 + 2 k2 + 2 k3 + k4 in order
-        rows = phase_rows(t, self.v, K) if rows is None else rows
+        rows = phase_rows(t, self.v, K)  # every stage's rows are built in this buffer
         self._stage(h, t, rows, acc, dt)
         np.add(h, np.multiply(acc, 0.5 * dt, out=y), out=y)
         phase_rows(t + 0.5 * dt, self.v, K, rows)  # shared by k2 and k3
@@ -268,7 +269,7 @@ def run(config: RunConfig) -> RunOutput:
 
     snapshots: list = []
 
-    def record(n: int, t: float, drift: float) -> np.ndarray:  # returns the rows at t
+    def record(n: int, t: float, drift: float) -> None:
         i = rec_set[n]
         rows = phase_rows(t, eng.v, K)
         rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], rows)
@@ -279,24 +280,21 @@ def run(config: RunConfig) -> RunOutput:
         emax = float(np.max(np.abs(rho_pos) / eng._ks))
         edge = eng.dv * float(np.sum(np.abs(data[0]) ** 2) + np.sum(np.abs(data[-1]) ** 2))
         dealias[i] = emax * math.sqrt(edge)
-        return rows
 
     drift_max = pending_drift = 0.0
     if config.snapshot_stride > 0:
         snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
-    rows = record(0, 0.0, 0.0)
+    record(0, 0.0, 0.0)
     for n in range(1, N + 1):
-        d = eng.rk4(data, (n - 1) * dt, dt, rows)
-        rows = None
+        d = eng.rk4(data, (n - 1) * dt, dt)
         drift_max = max(drift_max, d)
         pending_drift = max(pending_drift, d)
         if config.snapshot_stride > 0 and n % config.snapshot_stride == 0:
             snapshots.append(Snapshot(n * dt, data.astype(np.complex64)))
-        if n in rec_set:  # after the snapshot: its rows then live only into the next step
-            rows = record(n, n * dt, pending_drift)
+        if n in rec_set:
+            record(n, n * dt, pending_drift)
             pending_drift = 0.0
 
-    del rows  # the last record's rows feed no step; free them before the copy below
     if not snapshots or snapshots[-1].t != N * dt:
         snapshots.append(Snapshot(N * dt, data.astype(np.complex64)))
     final = SpectralState(g, data.copy(), N * dt)
@@ -419,16 +417,16 @@ def _interior_peak(times: np.ndarray, mag: np.ndarray):
     return float(times[best]), float(mag[best])
 
 
-def _picard_second_order(hat0: Callable, K_mode: int, data_modes, t_grid: np.ndarray,
-                         n_s: int = 4000) -> np.ndarray:
+def _picard_second_order(hat0: Callable, K_mode: int, data_modes,
+                         t_grid: np.ndarray) -> np.ndarray:
     """|rho^(2)_K(t)| from the explicit second iterate with free streaming.
 
     rho^(2)_K(t) = f0_{K,Kt} - sum_l int_0^t (K(t-s)/l) f0_{l,ls} f0_{K-l,Kt-ls} ds,
-    integrated by trapezoid on a fixed unit grid scaled to [0, t].
+    integrated by trapezoid on a fixed unit grid of PICARD_STEPS steps scaled to [0, t].
     """
-    u = np.linspace(0.0, 1.0, n_s + 1)
-    w = np.full(n_s + 1, 1.0 / n_s)
-    w[0] = w[-1] = 0.5 / n_s
+    u = np.linspace(0.0, 1.0, PICARD_STEPS + 1)
+    w = np.full(PICARD_STEPS + 1, 1.0 / PICARD_STEPS)
+    w[0] = w[-1] = 0.5 / PICARD_STEPS
     out = np.empty(t_grid.size, dtype=np.complex128)
     ls = sorted({m for m in data_modes} | {-m for m in data_modes})
     for i, t in enumerate(t_grid):

@@ -20,7 +20,7 @@ inequality from a NormProfile already tabulated.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,21 +38,21 @@ def _as_float_array(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Exponents and radii for the weights, validated on construction.
-
-    z_grid defaults to 33 evenly spaced points on [0, lam1]; every centered
-    z-difference in the checks below uses its spacing.
-    """
+    """Exponents and radii for the weights, validated on construction."""
 
     gamma: float
     sigma: float
     delta: float
     lam0: float
     lam1: float
-    z_grid: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        problems = []
+        values = {"gamma": self.gamma, "sigma": self.sigma, "delta": self.delta,
+                  "lambda0": self.lam0, "lambda1": self.lam1}
+        problems = [f"need a finite {name}, got {name} = {x}"
+                    for name, x in values.items() if not math.isfinite(x)]
+        if problems:
+            raise ValueError("; ".join(problems))
         if not 1.0 / 3.0 < self.gamma <= 1.0:
             problems.append(f"need 1/3 < gamma <= 1, got gamma = {self.gamma}")
         if not 3.0 * self.gamma > 1.0 + 2.0 * self.delta:
@@ -73,21 +73,16 @@ class WeightParams:
             )
         if problems:
             raise ValueError("; ".join(problems))
-        if self.z_grid is None:
-            grid = np.linspace(0.0, self.lam1, 33)
-        else:
-            grid = _as_float_array(self.z_grid)
-            if grid.ndim != 1 or grid.size < 3:
-                raise ValueError("z_grid must hold at least 3 points")
-            if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-                raise ValueError("z_grid must be nonnegative and strictly increasing")
-        object.__setattr__(self, "z_grid", grid)
+
+    @property
+    def z_grid(self) -> np.ndarray:
+        """33 evenly spaced radii on [0, lam1]; every centered z-difference uses its spacing."""
+        return np.linspace(0.0, self.lam1, 33)
 
 
-def standard_params(lam1: float = 0.2) -> WeightParams:
+def standard_params() -> WeightParams:
     """The parameter point every diagnostic defaults to."""
-    return WeightParams(gamma=1.0, sigma=3.2, delta=0.1,
-                        lam0=min(0.05, lam1 / 4.0), lam1=lam1)
+    return WeightParams(gamma=1.0, sigma=3.2, delta=0.1, lam0=0.05, lam1=0.2)
 
 
 def bracket(k, eta) -> np.ndarray:
@@ -366,12 +361,15 @@ def check_multiplier(state: SpectralState, z: float, params: WeightParams,
     """Compare G of the half-derivative of the state against d_z G.
 
     Both the x-multiplier |k|^{gamma/2} and the v-multiplier |eta|^{gamma/2}
-    versions must sit below the centered z-difference of G; z has to be
+    versions must sit below the centered z-difference of G, whose step h
+    (the z-grid spacing by default) must be positive and finite; z has to be
     interior to the difference stencil.
     """
     zg = params.z_grid
     if h is None:
         h = float(np.min(np.diff(zg)))
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"h: need a positive, finite z-step, got h = {h}")
     if z - h < zg[0] - 1e-12 or z + h > zg[-1] + 1e-12:
         raise ValueError(
             f"z = {z} with step h = {h} is not interior to the z-grid "

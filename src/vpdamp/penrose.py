@@ -38,6 +38,7 @@ LINE_STEP = 1.0 / 16.0  # t-step of _symbol_on_line times the integrand's bandwi
 ROOT_RESIDUAL_TOL = 1e-10
 CONTOUR_CLEARANCE = 1e-8
 ROOT_WANDER = 8.0  # farthest a Newton iterate may stray from its seed (scan polishes move < 0.2)
+OMEGA_MAX = 50.0  # margin's windings and boundary scan cover |Im lambda| <= OMEGA_MAX
 
 
 class DomainError(ValueError):
@@ -238,11 +239,10 @@ class MarginResult:
     offenders: tuple = ()
 
 
-def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
-           n_omega: int = 10001) -> MarginResult:
+def margin(eq: Equilibrium, k_max_scan: int = 4, n_omega: int = 10001) -> MarginResult:
     """Scan min_k inf_{Re lambda >= 0} |D(k, lambda)|.
 
-    Winding numbers on [0, b] x [-omega_max, omega_max] first certify
+    Winding numbers on [0, b] x [-OMEGA_MAX, OMEGA_MAX] first certify
     that D is zero-free in the right half-plane for each scanned k (the
     envelope bound |L| <= C0/(theta0 k + Re lambda)^2 confines any zero
     to Re lambda < b); the infimum then lives on the boundary Re = 0 or
@@ -259,10 +259,10 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
     windings = []
     offenders = []
     for k in range(1, k_max_scan + 1):
-        w = count_zeros(eq, k, (0.0, b, omega_max))
-        windings.append((k, (0.0, b, omega_max), w))
+        w = count_zeros(eq, k, (0.0, b, OMEGA_MAX))
+        windings.append((k, (0.0, b, OMEGA_MAX), w))
         if w != 0:
-            lam, res = _dominant_root(eq, k, (0.0, b, 0.1, omega_max))
+            lam, res = _dominant_root(eq, k, (0.0, b, 0.1, OMEGA_MAX))
             offenders.append((k, lam, res))
     if offenders:
         k0, lam0, _ = offenders[0]
@@ -272,7 +272,7 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
             windings=tuple(windings), offenders=tuple(offenders),
         )
 
-    omega = np.linspace(0.0, omega_max, n_omega)
+    omega = np.linspace(0.0, OMEGA_MAX, n_omega)
     best = math.inf
     k_at, om_at = 1, 0.0
     C1 = 0.0
@@ -294,7 +294,7 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
         if kmin < best:
             best, k_at, om_at = kmin, k, omin_at
 
-    om_tail = 1.0 - C1 / (2.0 + omega_max**2)
+    om_tail = 1.0 - C1 / (2.0 + OMEGA_MAX**2)
     k_next = k_max_scan + 1
     k_tail = 1.0 - eq.C0 / (eq.theta0 * k_next) ** 2
     if k_tail <= 0.0:
@@ -447,10 +447,9 @@ class DispersionReport:
     scan: dict = field(default_factory=dict)
 
 
-def full_report(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
-                n_omega: int = 10001) -> DispersionReport:
+def full_report(eq: Equilibrium, k_max_scan: int = 4, n_omega: int = 10001) -> DispersionReport:
     """Run margin, strip width, and the k = 1, 2 root location; collect one report."""
-    m = margin(eq, k_max_scan=k_max_scan, omega_max=omega_max, n_omega=n_omega)
+    m = margin(eq, k_max_scan=k_max_scan, n_omega=n_omega)
     roots = list(m.offenders)
     if m.kappa0 > 0.0:
         theta1 = strip_width(eq, k_max_scan=k_max_scan)
@@ -471,7 +470,7 @@ def full_report(eq: Equilibrium, k_max_scan: int = 4, omega_max: float = 50.0,
         windings=m.windings,
         scan={
             "k_max_scan": k_max_scan,
-            "omega_max": omega_max,
+            "omega_max": OMEGA_MAX,
             "n_omega": n_omega,
             "boundary_min": m.boundary_min,
             "omega_tail_bound": m.omega_tail_bound,

@@ -172,8 +172,8 @@ class SpectralState:
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
 
     @classmethod
-    def zeros(cls, grid: Grid, t: float = 0.0) -> "SpectralState":
-        return cls(grid, np.zeros((grid.n_modes, grid.N_v), dtype=np.complex128), t)
+    def zeros(cls, grid: Grid) -> "SpectralState":
+        return cls(grid, np.zeros((grid.n_modes, grid.N_v), dtype=np.complex128))
 
     def mode(self, k: int) -> np.ndarray:
         return self.data[self.grid.mode_index(k)]
@@ -202,17 +202,19 @@ class SpectralState:
         return float(np.max(edges) / scale)
 
 
-def _check_boundary(state: SpectralState, k=None, tol: float = BOUNDARY_DECAY_TOL) -> None:
+def _check_boundary(state: SpectralState, k=None) -> None:
     """Raise BoundaryDecayError unless mode k (every mode if None) has decayed at |v| = V."""
-    scale = np.max(np.abs(state.data))
+    scale = float(np.max(np.abs(state.data)))
+    if not math.isfinite(scale):
+        raise BoundaryDecayError(f"state max |g| = {scale}; the state is not finite")
     rows = slice(None) if k is None else [state.grid.mode_index(k)]
     edges = np.max(np.abs(state.data[rows][:, [0, -1]]), axis=1)
-    bad = np.flatnonzero(edges > tol * scale)
+    bad = np.flatnonzero(edges > BOUNDARY_DECAY_TOL * scale)
     if bad.size:
         k, edge = int(state.grid.modes[rows][bad[0]]), edges[bad[0]]
         raise BoundaryDecayError(
             f"mode k={k} has |g_k| = {edge:.3e} at |v| = V "
-            f"(= {edge / scale:.3e} of the state max, tolerance {tol:.0e}); "
+            f"(= {edge / scale:.3e} of the state max, tolerance {BOUNDARY_DECAY_TOL:.0e}); "
             f"enlarge V"
         )
 

@@ -176,6 +176,19 @@ x = 1
             "[equilibrium] params", "[grid] k_max"]
         assert "stream separation must be finite and >= 0" in err.value.violations[0]
 
+    @pytest.mark.parametrize("weights,refused", [
+        ("sigma = inf", ["sigma"]),
+        ("lambda1 = inf", ["lambda1"]),
+        ("lambda0 = inf\nlambda1 = inf", ["lambda0", "lambda1"]),
+        ("gamma = nan", ["gamma"]),
+    ], ids=["sigma", "lambda1", "both-radii", "gamma-nan"])
+    def test_non_finite_weight_refused_with_the_rest(self, weights, refused):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse(MINIMAL + f"[grid]\nk_max = 0\n[weights]\n{weights}\n")
+        assert err.value.violations[0].startswith("[grid] k_max")
+        assert [line.split(",")[0] for line in err.value.violations[1:]] == [
+            f"[weights] need a finite {name}" for name in refused]
+
 
 class TestEchoRoundTrip:
     def test_minimal_round_trips(self):
@@ -467,6 +480,13 @@ class TestExitCodesAndFlags:
         assert cli.main([command, "--config", str(path)]) == 1
         assert "[equilibrium] params" in capsys.readouterr().err
         assert not (tmp_path / "o" / f"{command}.json").exists()
+
+    def test_non_finite_weight_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=1.0)
+                            + "\n[weights]\nsigma = inf\n")
+        assert cli.main(["norms", "--config", str(path)]) == 1
+        assert "[weights] need a finite sigma, got sigma = inf" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "norms.json").exists()
 
     def test_seed_without_random_data_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

@@ -99,15 +99,23 @@ class TestWeightParams:
             WeightParams(gamma=0.2, sigma=3.2, delta=0.1, lam0=0.0, lam1=0.2)
         assert ";" in str(exc.value)
 
-    @pytest.mark.parametrize("zg", [
-        np.array([0.0, 0.1]),
-        np.array([0.0, 0.2, 0.1]),
-        np.array([-0.1, 0.0, 0.1]),
-    ])
-    def test_z_grid_rejected(self, zg):
-        with pytest.raises(ValueError, match="z_grid"):
-            WeightParams(gamma=1.0, sigma=3.2, delta=0.1, lam0=0.05, lam1=0.2,
-                         z_grid=zg)
+    @pytest.mark.parametrize("field", ["gamma", "sigma", "delta", "lam0", "lam1"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, bad):
+        name = field.replace("lam", "lambda")  # the config-file names
+        with pytest.raises(ValueError, match=rf"^need a finite {name}, got {name} = {bad}$"):
+            dataclasses.replace(PARAMS, **{field: bad})
+
+    def test_value_type_with_derived_z_grid(self):
+        # five floats: equal points compare equal and hash alike, and the z-grid
+        # follows lambda1 instead of keeping the radius it was built with
+        assert len(dataclasses.fields(WeightParams)) == 5
+        assert standard_params() == standard_params()
+        assert hash(standard_params()) == hash(standard_params())
+        wider = dataclasses.replace(standard_params(), lam1=0.4)
+        assert wider != standard_params()
+        assert wider.z_grid[-1] == 0.4
+        assert np.array_equal(wider.z_grid, np.linspace(0.0, 0.4, 33))
 
 
 class TestWeight:
@@ -396,6 +404,11 @@ class TestMultiplier:
         assert margins[0] >= margins[1] >= margins[2]
         assert margins[-1] >= -1e-8
 
+    @pytest.mark.parametrize("h", [0.0, -0.002, math.nan, math.inf])
+    def test_degenerate_step_rejected(self, h):
+        with pytest.raises(ValueError, match=rf"h: need a positive, finite z-step, got h = {h}"):
+            check_multiplier(gaussian_mode_state(), 0.1, PARAMS, h=h)
+
     def test_requires_interior_z(self):
         st = gaussian_mode_state()
         with pytest.raises(ValueError, match="interior"):
@@ -559,8 +572,7 @@ class TestPropagator:
     def test_requires_reachable_z(self):
         t = np.linspace(0, 1, 11)
         with pytest.raises(ValueError, match="theta1/2"):
-            check_propagator(1, t, np.zeros(11), np.zeros(11), 0.5,
-                             dataclasses.replace(PARAMS, z_grid=np.array([0.3, 0.35, 0.4])))
+            check_propagator(1, t, np.zeros(11), np.zeros(11), -1.0, PARAMS)
 
 
 class TestRunRecord:

@@ -106,13 +106,14 @@ def dense_line_reference(eq, k, re, omega, n=40000):
     return np.array([np.exp(-1j * w * t) @ f for w in omega])
 
 
-LINE_EQUILIBRIA = [gaussian(), two_stream(3.0), two_stream(5.0)]
+LINE_EQUILIBRIA = {"gaussian": gaussian(), "two_stream-3": two_stream(3.0),
+                   "two_stream-5": two_stream(5.0)}
 
 
 class TestSymbolOnLine:
     """The chirp-z line sum against the Gauss-Legendre symbol and a dense reference."""
 
-    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA, ids=lambda eq: repr(eq))
+    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_laplace_symbol(self, eq, k):
         omega = np.linspace(0.0, 50.0, 10001)
@@ -126,7 +127,7 @@ class TestSymbolOnLine:
         line = penrose._symbol_on_line(eq, k, re, down)
         assert np.max(np.abs(line - laplace_symbol(eq, k, re + 1j * down))) <= 1e-14
 
-    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA, ids=lambda eq: repr(eq))
+    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
     @pytest.mark.parametrize("k", [8, 16])
     def test_matches_dense_reference_at_large_k(self, eq, k):
         # here the Gauss-Legendre panels are too wide for mu_hat(k t) (two_stream(5),

@@ -112,6 +112,18 @@ class TestTransform:
         with pytest.raises(BoundaryDecayError, match="enlarge V"):
             to_eta(st, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_fails_gate(self, bad):
+        # a decayed Gaussian with one bad sample away from the edges: NaN compares
+        # False with every edge tolerance, so the gate must test finiteness itself
+        g = Grid(k_max=1, V=8.0, N_v=64)
+        st = mode_one_state(g, np.exp(-0.5 * g.v**2))
+        st.data[g.mode_index(1), g.N_v // 2] = bad
+        for transform in (lambda: to_eta(st, 1), lambda: to_eta(st, 0),
+                          lambda: eta_derivative(st, 1), lambda: eta_tables(st)):
+            with pytest.raises(BoundaryDecayError, match="the state is not finite"):
+                transform()
+
     def test_zero_state_passes_gate(self):
         g = Grid(k_max=1, V=6.0, N_v=64)
         st = SpectralState.zeros(g)
