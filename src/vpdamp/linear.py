@@ -9,7 +9,7 @@ zero-free strip and `solve_via_kernel` convolves the result with the
 source.  The two routes share nothing numerically past the closed-form
 mu_hat, which is what makes their agreement a meaningful check.  The
 march solves its discrete system by divide and conquer with FFT history
-sums, O(N log^2 N) per mode.
+sums and one precomputed-inverse product per base block, O(N log^2 N) per mode.
 
 Contour note: the Laplace-domain kernel -L/(1+L) only decays like
 |lambda|^{-2} along vertical lines, which would need an absurd
@@ -17,9 +17,9 @@ truncation for 1e-8 accuracy.  The first two Laurent terms are known in
 closed time-domain form (-L gives -t mu_hat(kt), L^2 gives the kernel
 autoconvolution, one FFT with Gregory end corrections), so only the
 remainder -L^3/(1+L), decaying like |lambda|^{-6}, is integrated
-numerically.  On a uniform time grid the contour trapezoid is a chirp-z
-transform and the convolution with the source an FFT product, so the
-kernel route costs O(N log N) per mode.
+numerically.  Its symbol on the contour is one chirp-z line sum, on a
+uniform time grid the contour trapezoid a chirp-z transform and the
+convolution with the source an FFT product: O(N log N) per mode.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from typing import Callable
 import numpy as np
 
 from .equilibria import Equilibrium
-from .penrose import laplace_symbol, strip_width
+from .penrose import strip_width, symbol_on_line
 from .spectral import GREGORY_WEIGHTS, chirp_sum, fft_convolve, time_steps, trapezoid_convolve
 
 TRACE_FLOOR = 1e-14
 EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
-VOLTERRA_BLOCK = 128  # volterra_solve marches blocks this short directly
+VOLTERRA_BLOCK = 128  # volterra_solve solves blocks this short by one matrix product
 H_AUTO = 4e-3  # largest |k|-scaled sample spacing of the kernel autoconvolution
 
 
@@ -99,10 +99,10 @@ def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> Dens
     closed form on the grid; history weights are trapezoidal.  Since
     kappa(0) = 0 the discrete system is explicit:
     rho_n = S_n - dt [ kappa_n rho_0 / 2 + sum_{m=1}^{n-1} kappa_{n-m} rho_m ].
-    Global accuracy O(dt^2).  Divide and conquer (Hairer, Lubich &
-    Schlichte 1985) solves it in O(N log^2 N): see _solve_block.  The
-    history sums carry e^{sigma t}, sigma = min(1, theta0 |k|) (a bounded
-    weighted kernel) with sigma T <= EXP_CAP.
+    Global accuracy O(dt^2).  Divide and conquer (Hairer, Lubich & Schlichte 1985)
+    solves it in O(N log^2 N), see _solve_block; its base blocks multiply by the
+    inverse of I + dt T_kappa, the march of the identity, built once per call.  History
+    sums carry e^{sigma t}, sigma = min(1, theta0 |k|), with sigma T <= EXP_CAP.
     """
     times = dt * np.arange(time_steps(dt, T) + 1)
     kappa = times * np.asarray(eq.mu_hat(k * times), dtype=float)
@@ -111,28 +111,30 @@ def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> Dens
         raise ValueError("source callable must return one value per time")
     rho[1:] -= 0.5 * dt * kappa[1:] * rho[0]
     weight = np.exp(min(1.0, eq.theta0 * abs(k), EXP_CAP / max(T, dt)) * times)
-    _solve_block(kappa, rho, dt, weight, 1, times.size)
+    inverse = np.eye(min(VOLTERRA_BLOCK, times.size))
+    for n in range(1, inverse.shape[0]):
+        inverse[n] -= dt * kappa[n:0:-1] @ inverse[:n]
+    _solve_block(inverse.astype(complex), kappa, rho, dt, weight, 1, times.size)
     return DensityTrace(k=k, times=times, values=rho)
 
 
-def _solve_block(kappa, rho, dt, weight, lo, hi):
+def _solve_block(inverse, kappa, rho, dt, weight, lo, hi):
     """Turn rho[lo:hi], sources holding all history before lo, into the solution.
 
     Solve the first half, add its history into the second half with one
-    FFT convolution, recurse; march directly up to VOLTERRA_BLOCK samples.
+    FFT convolution, recurse; multiply by `inverse` up to VOLTERRA_BLOCK.
     As w_{m-lo} w_{n-m} = w_{n-lo} for w_j = e^{sigma t_j}, convolving the
     weighted factors and dividing by w_{n-lo} gives the same sums, with
     the FFT's round-off shrinking with the decaying solution.
     """
     if hi - lo <= VOLTERRA_BLOCK:
-        for n in range(lo, hi):
-            rho[n] -= dt * np.dot(kappa[n - lo : 0 : -1], rho[lo:n])
+        rho[lo:hi] = inverse[: hi - lo, : hi - lo] @ rho[lo:hi]
         return
     mid, span = (lo + hi) // 2, hi - lo
-    _solve_block(kappa, rho, dt, weight, lo, mid)
+    _solve_block(inverse, kappa, rho, dt, weight, lo, mid)
     hist = fft_convolve(rho[lo:mid] * weight[: mid - lo], kappa[:span] * weight[:span], span)
     rho[mid:hi] -= dt * hist[mid - lo :] / weight[mid - lo : span]
-    _solve_block(kappa, rho, dt, weight, mid, hi)
+    _solve_block(inverse, kappa, rho, dt, weight, mid, hi)
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
 
     K(t) = -kappa(t) + (kappa * kappa)(t) + contour integral of
     -L^3/(1+L) along Re lambda = -theta_hat1 |k| (trapezoid, n_quad
-    nodes on [0, Omega], doubled by conjugate symmetry), summed over the
-    uniform times t_0 + n h by one Bluestein chirp-z FFT convolution.
+    nodes on [0, Omega], L there a line sum, doubled by conjugate symmetry),
+    summed over the uniform times t_0 + n h by one chirp-z FFT convolution.
     Refuses a non-uniform time grid, an abscissa beyond the certified
     zero-free strip and an Omega whose measured tail exceeds 1e-8.
     """
@@ -220,8 +222,7 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
 
     # contour remainder
     omega = np.linspace(0.0, Omega, n_quad)
-    lam = -a + 1j * omega
-    L = laplace_symbol(eq, k, lam)
+    L = symbol_on_line(eq, k, -a, omega)
     G = -(L**3) / (1.0 + L)
     tail = np.abs(G[-1]) * Omega / 5.0  # integrand falls like omega^{-6}
     if tail > 1e-8 * math.pi:
@@ -229,9 +230,8 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
             f"Omega = {Omega:g} leaves a contour tail ~{tail / math.pi:.2e}; enlarge it"
         )
     w = np.full(n_quad, Omega / (n_quad - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    remainder = chirp_sum(times, lam, G * w).real / math.pi  # phases e^{lambda t}
+    w[[0, -1]] *= 0.5
+    remainder = chirp_sum(times, -a + 1j * omega, G * w).real / math.pi  # phases e^{lambda t}
 
     values = -kappa_t + auto + remainder
     C_fit, theta_fit = _fit_kernel_envelope(abs(k), times, values)

@@ -17,9 +17,9 @@ with no zeros attains its modulus infimum on the boundary or in the
 limit).  The reported margin is a certified scan value, not a claimed
 rigorous global infimum; the certification parameters travel with it.
 
-Uniform Im lambda grids on a vertical line (boundary scan, vertical contour
-edges) take one O(N log N) chirp-z sum; every other point keeps Gauss-Legendre
-so the roots, their seeds and the zoomed margin do not depend on that sum.
+Uniform Im lambda grids on a vertical line (boundary scan, contour edges, the
+resolvent contour) take one O(N log N) chirp-z sum, `symbol_on_line`; every other
+point keeps Gauss-Legendre so the roots and the zoomed margin do not depend on it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .equilibria import Equilibrium
 from .spectral import GREGORY_WEIGHTS, chirp_sum, phase_sum
 
 TAIL_TOL = 1e-15
-LINE_STEP = 1.0 / 16.0  # t-step of _symbol_on_line times the integrand's bandwidth
+LINE_STEP = 1.0 / 16.0  # t-step of symbol_on_line times the integrand's bandwidth
 ROOT_RESIDUAL_TOL = 1e-10
 CONTOUR_CLEARANCE = 1e-8
 ROOT_WANDER = 8.0  # farthest a Newton iterate may stray from its seed (scan polishes move < 0.2)
@@ -119,14 +119,14 @@ def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
     """Laplace transform of t^power mu_hat(k t) by composite Gauss-Legendre on [0, T].
 
     T is the batch's certified envelope cutoff plus `extra` (power 2 with slack 2
-    is -d/dlambda of laplace_symbol); panels narrow with the largest |Im lambda|
-    and |Re lambda| in the batch so 32 nodes per panel stay spectrally accurate.
+    is -d/dlambda of laplace_symbol); panels narrow with |k| and the batch's largest
+    |Im lambda| and |Re lambda| so 32 nodes per panel stay spectrally accurate.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     T = _cutoff(eq, k, float(np.max(-lam_arr.real)), extra)
     omega_max = float(np.max(np.abs(lam_arr.imag)))
     re_max = float(np.max(np.abs(lam_arr.real)))
-    width = min(1.0, 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
+    width = min(1.0, 4.0 / abs(k), 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
     edges = np.linspace(0.0, T, int(math.ceil(T / width)) + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -137,7 +137,7 @@ def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
     return complex(out[0]) if np.ndim(lam) == 0 else out
 
 
-def _symbol_on_line(eq: Equilibrium, k: int, re: float, omega) -> np.ndarray:
+def symbol_on_line(eq: Equilibrium, k: int, re: float, omega) -> np.ndarray:
     """L(k, re + i omega) for uniform omega (ascending or descending), by one chirp-z sum
     of t mu_hat(k t) e^{-re t} on [0, _cutoff], step LINE_STEP over the integrand's
     bandwidth max(|omega|, |re|) + 16|k|, order-8 Gregory weights at t = 0 (the far end
@@ -183,8 +183,8 @@ def count_zeros(eq: Equilibrium, k: int, rect) -> int:
     for _ in range(9):
         bottom, right, top, left = _rectangle_edges(a, b, om, density)
         flat = laplace_symbol(eq, k, np.concatenate([bottom, top]))
-        vals = 1.0 + np.concatenate([flat[: bottom.size], _symbol_on_line(eq, k, b, right.imag),
-                                     flat[bottom.size :], _symbol_on_line(eq, k, a, left.imag),
+        vals = 1.0 + np.concatenate([flat[: bottom.size], symbol_on_line(eq, k, b, right.imag),
+                                     flat[bottom.size :], symbol_on_line(eq, k, a, left.imag),
                                      flat[:1]])
         clearance = float(np.min(np.abs(vals)))
         if clearance < CONTOUR_CLEARANCE:
@@ -277,7 +277,7 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, n_omega: int = 10001) -> Margin
     k_at, om_at = 1, 0.0
     C1 = 0.0
     for k in range(1, k_max_scan + 1):
-        vals = 1.0 + _symbol_on_line(eq, k, 0.0, omega)
+        vals = 1.0 + symbol_on_line(eq, k, 0.0, omega)
         absD = np.abs(vals)
         C1 = max(C1, float(np.max(np.abs(vals - 1.0) * (1.0 + k**2 + omega**2))))
         i0 = int(np.argmin(absD))

@@ -30,6 +30,15 @@ STUB = zero()
 EPS = 1e-3
 
 
+def narrow_two_stream():
+    """Streams at +-1 of width 0.3: mu_hat = cos(eta) e^{-0.045 eta^2}, unstable at k = 1
+    (growth rate 0.206); the same equilibrium as test_penrose's."""
+    return dataclasses.replace(
+        two_stream(1.0), theta0=0.3,
+        mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.045 * np.asarray(eta, float) ** 2),
+        hat_log_envelope=lambda eta: -0.045 * np.asarray(eta, float) ** 2)
+
+
 def single_mode_source(k=1, eps=EPS, offset=0.0):
     hat0 = cosine_initial_hat(EQ, [(k, eps, offset)])
     return hat0, (lambda t, _h=hat0, _k=k: np.asarray(_h(_k, _k * np.atleast_1d(t)), complex))
@@ -117,7 +126,8 @@ class TestVolterra:
 
     @pytest.mark.parametrize(
         "dt,T,msg",
-        [(0.0, 1.0, "positive"), (-0.1, 1.0, "positive"), (0.3, 1.0, "integer multiple")],
+        [(0.0, 1.0, "positive"), (-0.1, 1.0, "positive"),
+         pytest.param(0.3, 1.0, "integer multiple", id="0.3-1.0-integer_multiple")],
     )
     def test_grid_validation(self, dt, T, msg):
         _, src = single_mode_source()
@@ -164,6 +174,14 @@ class TestVolterraDivideAndConquer:
         got = volterra_solve(eq, 1, self.source, dt, T).values
         ref = direct_march(eq, 1, self.source, dt, T)
         assert got.shape == ref.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dt, T", [(0.25, 60.0), (0.05, 40.0)])
+    def test_growing_resolvent_matches_direct_march(self, dt, T):
+        # the unstable k = 1 mode grows like e^{0.206 t}; a 128-sample block spans up
+        # to 32 time units, so the base-block inverse holds a growing discrete resolvent
+        got = volterra_solve(narrow_two_stream(), 1, self.source, dt, T).values
+        ref = direct_march(narrow_two_stream(), 1, self.source, dt, T)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_long_grid_stays_finite(self):

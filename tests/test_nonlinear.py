@@ -64,8 +64,8 @@ class TestConfig:
     @pytest.mark.parametrize("kw,msg", [
         (dict(dt=0.0), "positive"),
         (dict(dt=-0.1), "positive"),
-        (dict(t_final=0.105), "integer multiple"),
-        (dict(dt=1e-9, t_final=100.0), "1e7 steps"),
+        pytest.param(dict(t_final=0.105), "integer multiple", id="kw2-integer_multiple"),
+        pytest.param(dict(dt=1e-9, t_final=100.0), "1e7 steps", id="kw3-1e7_steps"),
         (dict(t_final=200.0), "N_v"),
         (dict(modes=((0, 1e-3, 0.0),)), "1..4"),
         (dict(modes=((5, 1e-3, 0.0),)), "1..4"),

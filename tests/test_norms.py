@@ -87,7 +87,9 @@ class TestWeightParams:
         (dict(sigma=3.05), r"sigma > 3 \+ delta"),
         (dict(lam0=0.0), "lambda0 > 0"),
         (dict(lam0=0.06), "lambda0 <= lambda1/4"),
-    ])
+    ], ids=["kw0-gamma_too_small", "kw1-gamma_too_large", "kw2-3gamma_vs_1+2delta",
+            "kw3-delta_positive", "kw4-sigma_vs_3+delta", "kw5-lambda0_positive",
+            "kw6-lambda0_vs_lambda1/4"])
     def test_invariant_violations(self, kw, msg):
         base = dict(gamma=1.0, sigma=3.2, delta=0.1, lam0=0.05, lam1=0.2)
         base.update(kw)

@@ -91,6 +91,14 @@ class TestLaplaceSymbol:
     def test_zero_stub_vanishes(self):
         assert laplace_symbol(zero(), 1, 0.5 + 3j) == 0.0
 
+    def test_panels_narrow_with_k(self):
+        # mu_hat(k t) varies on the scale 1/|k|: with unit panels two_stream(5), k = 16,
+        # Re = -8 missed the dense reference by 1.8e-12
+        eq = two_stream(5.0)
+        omega = np.linspace(40.0, -40.0, 81)
+        got = laplace_symbol(eq, 16, -8.0 + 1j * omega)
+        assert np.max(np.abs(got - dense_line_reference(eq, 16, -8.0, omega))) <= 1e-15
+
 
 def dense_line_reference(eq, k, re, omega, n=40000):
     """L(k, re + i omega) by a dense fine-step trapezoid sum on [0, cutoff + 1].
@@ -117,15 +125,28 @@ class TestSymbolOnLine:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_laplace_symbol(self, eq, k):
         omega = np.linspace(0.0, 50.0, 10001)
-        line = penrose._symbol_on_line(eq, k, 0.0, omega)
+        line = penrose.symbol_on_line(eq, k, 0.0, omega)
         assert np.max(np.abs(line - laplace_symbol(eq, k, 1j * omega))) <= 1e-14
         # the chirp sum answers at omega_0 + n h exactly; a step of 1/8 makes those
         # the grid's own floats (with a step of 0.1, linspace's points sit up to an
         # ulp of 40 off that lattice, and |dL/domega| ~ 3 turns that into 1.3e-14)
         re = -0.5 * eq.theta0 * k
         down = np.linspace(40.0, -40.0, 641)
-        line = penrose._symbol_on_line(eq, k, re, down)
+        line = penrose.symbol_on_line(eq, k, re, down)
         assert np.max(np.abs(line - laplace_symbol(eq, k, re + 1j * down))) <= 1e-14
+
+    @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_laplace_symbol_on_the_resolvent_contour(self, eq, k):
+        # resolvent_kernel's own line: Re = -theta_hat1 |k|, omega = linspace(0, 100, n_quad)
+        # on the criterion-2 grid (t_max = 20), and the remainder -L^3/(1+L) it integrates
+        theta_hat1, Omega, n_quad = contour_parameters(eq, k, 20.0)
+        re = -theta_hat1 * k
+        omega = np.linspace(0.0, Omega, n_quad)
+        line = penrose.symbol_on_line(eq, k, re, omega)
+        dense = laplace_symbol(eq, k, re + 1j * omega)
+        assert np.max(np.abs(line - dense)) <= 1e-14
+        assert np.max(np.abs(line**3 / (1.0 + line) - dense**3 / (1.0 + dense))) <= 1e-14
 
     @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
     @pytest.mark.parametrize("k", [8, 16])
@@ -133,12 +154,12 @@ class TestSymbolOnLine:
         # here the Gauss-Legendre panels are too wide for mu_hat(k t) (two_stream(5),
         # k = 16, Re = -8 misses by 1.8e-12), so the reference is a dense sum
         omega = np.linspace(0.0, 50.0, 10001)
-        line = penrose._symbol_on_line(eq, k, 0.0, omega)
+        line = penrose.symbol_on_line(eq, k, 0.0, omega)
         sub = slice(None, None, 100)
         assert np.max(np.abs(line[sub] - dense_line_reference(eq, k, 0.0, omega[sub]))) <= 1e-15
         re = -0.5 * eq.theta0 * k
         down = np.linspace(40.0, -40.0, 81)
-        line = penrose._symbol_on_line(eq, k, re, down)
+        line = penrose.symbol_on_line(eq, k, re, down)
         assert np.max(np.abs(line - dense_line_reference(eq, k, re, down))) <= 1e-15
 
 
@@ -166,8 +187,8 @@ class TestWinding:
     def test_left_edge_left_of_the_axis(self, monkeypatch):
         # Re lambda < 0 throughout, so the left edge's samples grow like e^{1.2 t}
         lines = []
-        line_sum = penrose._symbol_on_line
-        monkeypatch.setattr(penrose, "_symbol_on_line",
+        line_sum = penrose.symbol_on_line
+        monkeypatch.setattr(penrose, "symbol_on_line",
                             lambda eq, k, re, om: lines.append(re) or line_sum(eq, k, re, om))
         assert count_zeros(gaussian(), 1, (-1.2, -0.5, 3.0)) == 2
         assert -1.2 in lines and -0.5 in lines
