@@ -15,8 +15,8 @@ contraction condition, the Fourier-multiplier comparison against d_z G, and
 the propagator bound satisfied by linear density traces.  Inequalities whose
 constants the theory leaves unquantified are handled by fitting the smallest
 admissible constant, never by asserting a magic number.  Each snapshot's
-eta-tables are built once (spectral.eta_tables), and fit_FG1 fits the G-F
-inequality from a NormProfile already tabulated.
+eta-mass is built once (spectral.eta_mass) and each weight once per (|k|, |eta|);
+fit_FG1 fits the G-F inequality from a NormProfile already tabulated.
 """
 
 import math
@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-# to_eta and eta_derivative stay bound here for perfbench's tracer; the norms use eta_tables.
-from .spectral import SpectralState, eta_derivative, eta_tables, to_eta  # noqa: F401
+# to_eta and eta_derivative stay bound here for perfbench's tracer; the norms use eta_mass.
+from .spectral import SpectralState, eta_derivative, eta_mass, to_eta  # noqa: F401
 
 # Below this, a fitted-ratio denominator is treated as exactly zero.
 RATIO_FLOOR = 1e-300
@@ -100,39 +100,38 @@ def weight(k, eta, z: float, params: WeightParams):
     return np.exp(z * b**params.gamma) * b**params.sigma
 
 
-def _weight_tables(grid, params: WeightParams):
-    """b**gamma and b**(2 sigma) of the bracket b = <k,eta> on the (modes, eta) grid."""
-    b = bracket(grid.modes.astype(float)[:, None], grid.eta[None, :])
-    return b**params.gamma, b ** (2.0 * params.sigma)
+def _weight_tables(grid, params: WeightParams, z_max: float):
+    """b**gamma and b**(2 sigma) of the bracket b = <k,eta>, folded onto k = 0..k_max and
+    eta = m deta, m = 0..N_v/2 (the weights depend on |k| and |eta| only).  Refuses a
+    z_max whose largest weight exponent, at the table's corner, would overflow."""
+    b = bracket(np.arange(grid.k_max + 1.0)[:, None], grid.deta * np.arange(grid.N_v // 2 + 1))
+    bg, bs = b**params.gamma, b ** (2.0 * params.sigma)
+    top = 2.0 * z_max * float(bg[-1, -1]) + math.log(bs[-1, -1])
+    if not top < 700.0:
+        raise ValueError(f"overflow guard: need 2 z <k,eta>**gamma + 2 sigma log<k,eta> < 700 "
+                         f"at k_max, eta_max, got {top:.4g} at z = {z_max}")
+    return bg, bs
 
 
-def _mass(state: SpectralState) -> np.ndarray:
-    """Transform mass |ghat|^2 + |d_eta ghat|^2 per (k, eta)."""
-    ghat, dghat = eta_tables(state)
-    return np.abs(ghat) ** 2 + np.abs(dghat) ** 2
+def _weighted(tables, mass: np.ndarray, z: float) -> np.ndarray:
+    """e^{2 z b^gamma} b^{2 sigma} mass on the (modes, eta) grid: the weight is formed once
+    per folded entry, mirrored onto eta < 0 and k < 0, then multiplied into mass."""
+    bg, bs = tables
+    w = np.exp(2.0 * z * bg) * bs
+    w = np.concatenate((w[:, :0:-1], w[:, :-1]), axis=1)
+    return np.concatenate((w[:0:-1], w)) * mass
 
 
-def _guard_overflow(state: SpectralState, z: float, params: WeightParams) -> None:
-    eta_max = float(np.max(np.abs(state.grid.eta)))
-    if z * eta_max**params.gamma >= 700.0:
-        raise ValueError(
-            f"overflow guard: need z * eta_max**gamma < 700, got "
-            f"{z} * {eta_max:.4g}**{params.gamma} = {z * eta_max**params.gamma:.4g}"
-        )
-
-
-def _G_from_tables(bg: np.ndarray, bs: np.ndarray, mass: np.ndarray, z: float,
-                   deta: float) -> float:
-    return float(deta * np.sum(np.exp(2.0 * z * bg) * bs * mass))
+def _G_from_tables(tables, mass: np.ndarray, z: float, deta: float) -> float:
+    return float(deta * np.sum(_weighted(tables, mass, z)))
 
 
 def gen_G(state: SpectralState, z: float, params: WeightParams) -> float:
     """The velocity-side generator functional at analyticity radius z."""
     if z < 0.0:
         raise ValueError(f"need z >= 0, got z = {z}")
-    _guard_overflow(state, z, params)
-    return _G_from_tables(*_weight_tables(state.grid, params), _mass(state), z,
-                          state.grid.deta)
+    tables = _weight_tables(state.grid, params, z)
+    return _G_from_tables(tables, eta_mass(state), z, state.grid.deta)
 
 
 def eta_tail_fraction(state: SpectralState, z: float, params: WeightParams) -> float:
@@ -142,9 +141,7 @@ def eta_tail_fraction(state: SpectralState, z: float, params: WeightParams) -> f
     much of the weighted integrand already sits near that edge, i.e. how
     badly the true integral over the line is being under-counted.
     """
-    _guard_overflow(state, z, params)
-    bg, bs = _weight_tables(state.grid, params)
-    w = np.exp(2.0 * z * bg) * bs * _mass(state)
+    w = _weighted(_weight_tables(state.grid, params, z), eta_mass(state), z)
     total = float(np.sum(w))
     if total == 0.0:
         return 0.0
@@ -232,14 +229,12 @@ def norm_profile(output, params: WeightParams) -> NormProfile:
     times = np.array([s.t for s in output.snapshots])
     G = np.empty((times.size, zs.size))
     F = np.empty_like(G)
-    bg, bs = _weight_tables(grid, params)
+    tables = _weight_tables(grid, params, float(zs[-1]))
     for i, snap in enumerate(output.snapshots):
-        state = snap.to_state(grid)
-        _guard_overflow(state, float(zs[-1]), params)
-        mass = _mass(state)
+        mass = eta_mass(snap.to_state(grid))
         terms = _F_terms(snapshot_density(output, snap.t), snap.t, params)
         for j, z in enumerate(zs):
-            G[i, j] = _G_from_tables(bg, bs, mass, float(z), grid.deta)
+            G[i, j] = _G_from_tables(tables, mass, float(z), grid.deta)
             F[i, j] = _F_from_terms(terms, float(z))
     return NormProfile(times=times, z_grid=zs, G=G, F=F,
                        lam=radius(times, params))
@@ -305,17 +300,18 @@ def check_F_le_sqrtG(state: SpectralState, rho, z, params: WeightParams):
     """Pointwise domination of the density norm by the generator functional.
 
     z is one radius, or a sequence of radii answered with one SqrtGMargin
-    each from a single build of the state's eta-tables.  The margin may dip
-    below zero only by the quadrature floor: the discrete G under-counts
-    eta-tail mass the continuous integral would include.
+    each from a single build of the state's eta-mass and weight tables; a
+    radius whose weight would overflow is refused, not answered with nan.
+    The margin may dip below zero only by the quadrature floor: the discrete
+    G under-counts eta-tail mass the continuous integral would include.
     """
     zs = [float(x) for x in np.atleast_1d(z)]
-    _guard_overflow(state, max(zs), params)
-    tables = (*_weight_tables(state.grid, params), _mass(state))
+    tables = _weight_tables(state.grid, params, max(zs))
+    mass = eta_mass(state)
     terms = _F_terms(rho, state.t, params)
     out = []
     for x in zs:
-        sq = math.sqrt(_G_from_tables(*tables, x, state.grid.deta))
+        sq = math.sqrt(_G_from_tables(tables, mass, x, state.grid.deta))
         margin = sq - _F_from_terms(terms, x)
         floor = 1e-8 * max(1.0, sq)
         out.append(SqrtGMargin(margin=margin, floor=floor, ok=margin >= -floor))
@@ -375,17 +371,16 @@ def check_multiplier(state: SpectralState, z: float, params: WeightParams,
             f"z = {z} with step h = {h} is not interior to the z-grid "
             f"[{zg[0]}, {zg[-1]}]"
         )
-    _guard_overflow(state, z + h, params)
     g = state.grid
-    bg, bs = _weight_tables(g, params)
-    mass = _mass(state)
-    dG = (_G_from_tables(bg, bs, mass, z + h, g.deta)
-          - _G_from_tables(bg, bs, mass, max(z - h, 0.0), g.deta)) / (2.0 * h)
+    tables = _weight_tables(g, params, z + h)
+    mass = eta_mass(state)
+    dG = (_G_from_tables(tables, mass, z + h, g.deta)
+          - _G_from_tables(tables, mass, max(z - h, 0.0), g.deta)) / (2.0 * h)
     # G with the integrand multiplied by |k|^gamma or |eta|^gamma
     k_factor = np.abs(g.modes.astype(float))[:, None] ** params.gamma
     eta_factor = np.abs(g.eta)[None, :] ** params.gamma
-    x_margin = dG - _G_from_tables(bg, bs, k_factor * mass, z, g.deta)
-    v_margin = dG - _G_from_tables(bg, bs, eta_factor * mass, z, g.deta)
+    x_margin = dG - _G_from_tables(tables, k_factor * mass, z, g.deta)
+    v_margin = dG - _G_from_tables(tables, eta_factor * mass, z, g.deta)
     floor = 1e-8 * max(1.0, abs(dG))
     return MultiplierReport(x_margin=x_margin, v_margin=v_margin, h=h, floor=floor,
                             ok=x_margin >= -floor and v_margin >= -floor)

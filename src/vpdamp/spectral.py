@@ -252,12 +252,15 @@ def eta_derivative(state: SpectralState, k: int) -> np.ndarray:
     return _eta_transform(g, (-1j * g.v) * state.mode(k))
 
 
-def eta_tables(state: SpectralState) -> tuple:
-    """(to_eta, eta_derivative) of every mode, rows in grid.modes order, bit-equal to
-    the per-mode calls: one boundary check and one FFT call per table."""
+def eta_mass(state: SpectralState) -> np.ndarray:
+    """|to_eta|^2 + |eta_derivative|^2 of every mode, rows in grid.modes order, bit-equal
+    to the per-mode calls: one boundary check and one FFT call per transform.  The
+    (-1)**m signs drop out of the magnitudes, so one shift, applied last, suffices."""
     _check_boundary(state)
     g = state.grid
-    return _eta_transform(g, state.data), _eta_transform(g, (-1j * g.v) * state.data)
+    spec = np.fft.fft(state.data, axis=-1)
+    dspec = np.fft.fft((-1j * g.v) * state.data, axis=-1)
+    return np.fft.fftshift(np.abs(g.dv * spec) ** 2 + np.abs(g.dv * dspec) ** 2, axes=-1)
 
 
 def phase_rows(a: float, v: np.ndarray, n: int, out=None) -> np.ndarray:

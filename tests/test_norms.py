@@ -1,5 +1,6 @@
 """Tests for the generator-function norms and inequality checks."""
 
+import collections
 import copy
 import dataclasses
 import math
@@ -10,8 +11,8 @@ import pytest
 
 from vpdamp import norms
 from vpdamp.equilibria import gaussian
-from vpdamp.linear import cosine_initial_hat, source_from_initial
-from vpdamp.nonlinear import RunConfig, RunRecord, run
+from vpdamp.linear import DensityTrace, cosine_initial_hat, source_from_initial
+from vpdamp.nonlinear import RunConfig, RunRecord, Snapshot, run
 from vpdamp.norms import (
     NormProfile,
     WeightParams,
@@ -28,6 +29,7 @@ from vpdamp.norms import (
     norm_profile,
     radius,
     radius_derivative,
+    snapshot_density,
     standard_params,
     weight,
 )
@@ -187,6 +189,19 @@ class TestGenG:
         with pytest.raises(ValueError, match="overflow guard"):
             gen_G(st, 50.0, PARAMS)
 
+    def test_overflow_guard_bounds_the_weight_exponent(self):
+        # z eta_max = 500 passes a z eta_max**gamma < 700 bound, but the weight is
+        # e^{2 z <k,eta>^gamma} <k,eta>^{2 sigma} ~ e^{1038}: inf, and inf * 0 = nan
+        g = Grid(k_max=2, V=8.0, N_v=2048)
+        params = dataclasses.replace(PARAMS, lam1=4.0)
+        st = gaussian_mode_state(grid=g)
+        z = 500.0 / float(np.max(np.abs(g.eta)))
+        for call in (lambda: gen_G(st, z, params), lambda: eta_tail_fraction(st, z, params),
+                     lambda: check_F_le_sqrtG(st, {1: 1e-3}, z, params),
+                     lambda: check_multiplier(st, z, params)):
+            with pytest.raises(ValueError, match="overflow guard"):
+                call()
+
     def test_boundary_decay_enforced(self):
         g = Grid(k_max=1, V=4.0, N_v=64)
         st = SpectralState.zeros(g)
@@ -344,8 +359,8 @@ class TestSqrtGDomination:
         zs = (0.0, 0.05, 0.1)
         single = [check_F_le_sqrtG(st, rho, z, PARAMS) for z in zs]
         builds = []
-        mass = norms._mass
-        monkeypatch.setattr(norms, "_mass", lambda state: builds.append(1) or mass(state))
+        mass = norms.eta_mass
+        monkeypatch.setattr(norms, "eta_mass", lambda state: builds.append(1) or mass(state))
         assert check_F_le_sqrtG(st, rho, zs, PARAMS) == single
         assert len(builds) == 1
         with pytest.raises(ValueError, match="z >= 0"):
@@ -518,6 +533,89 @@ class TestOnePassTables:
                             F=prof.F[:2], lam=prof.lam[:2])
         with pytest.raises(ValueError, match="3 snapshots"):
             fit_FG1(short)
+
+
+def synthetic_record(grid, seed, n=3):
+    """Random decayed states at t = 0, 0.1, ...: no symmetry in k or eta for a
+    mirrored weight view to hide behind, and every mode nonzero."""
+    rng = np.random.default_rng(seed)
+    times = 0.1 * np.arange(n)
+    shape = (grid.n_modes, grid.N_v)
+    snaps = []
+    for t in times:
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data *= np.exp(-0.5 * grid.v**2)
+        snaps.append(Snapshot(t=float(t), data=data.astype(np.complex64)))
+    traces = {k: DensityTrace(k=k, times=times, values=rng.standard_normal(n) + 1j)
+              for k in range(1, grid.k_max + 1)}
+    return RunRecord(grid=grid, times=times, traces=traces, snapshots=snaps)
+
+
+class _CountingNumpy:
+    """numpy, with the elements passed to exp and power tallied in counts."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("exp", "power"):
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.counts[name] += np.size(x)
+            return attr(x, *args, **kwargs)
+        return counted
+
+
+# (k_max, N_v, gamma, delta): Gevrey weights, an N_v that is not a power of two, K = 16
+FOLD_POINTS = [(3, 1000, 0.6, 0.1), (16, 2048, 1.0, 0.1), (2, 256, 0.45, 0.05),
+               (8, 2048, 0.6, 0.1)]
+
+
+class TestFoldedTables:
+    @pytest.mark.parametrize("k_max, n_v, gamma, delta", FOLD_POINTS)
+    def test_profile_bit_identical(self, k_max, n_v, gamma, delta):
+        grid = Grid(k_max=k_max, V=8.0, N_v=n_v)
+        params = dataclasses.replace(PARAMS, gamma=gamma, delta=delta)
+        record = synthetic_record(grid, seed=k_max)
+        prof = norm_profile(record, params)
+        for i, snap in enumerate(record.snapshots):
+            b, mass = ref_state_tables(snap.to_state(grid))
+            want = [ref_G_from_tables(b, mass, float(z), grid.deta, params)
+                    for z in params.z_grid]
+            assert np.array_equal(prof.G[i], want)
+
+    @pytest.mark.parametrize("k_max, n_v, gamma, delta", FOLD_POINTS)
+    def test_state_functionals_bit_identical(self, k_max, n_v, gamma, delta):
+        grid = Grid(k_max=k_max, V=8.0, N_v=n_v)
+        params = dataclasses.replace(PARAMS, gamma=gamma, delta=delta)
+        record = synthetic_record(grid, seed=k_max + 1)
+        state = record.snapshots[-1].to_state(grid)
+        rho = snapshot_density(record, state.t)
+        for z in (0.0, 0.05, 0.1):
+            margin = math.sqrt(ref_G(state, z, params)) - ref_F(rho, state.t, z, params)
+            assert check_F_le_sqrtG(state, rho, z, params).margin == margin
+        rep = check_multiplier(state, 0.1, params)
+        dG = (ref_G(state, 0.1 + rep.h, params) - ref_G(state, 0.1 - rep.h, params)) / (2 * rep.h)
+        k_factor = np.abs(grid.modes.astype(float))[:, None] ** gamma
+        eta_factor = np.abs(grid.eta)[None, :] ** gamma
+        assert rep.x_margin == dG - ref_G(state, 0.1, params, k_factor)
+        assert rep.v_margin == dG - ref_G(state, 0.1, params, eta_factor)
+        b, mass = ref_state_tables(state)
+        w = np.exp(2.0 * 0.05 * b**gamma) * b ** (2.0 * params.sigma) * mass
+        outer = np.abs(grid.eta) >= 0.9 * np.max(np.abs(grid.eta))
+        assert eta_tail_fraction(state, 0.05, params) == \
+            float(np.sum(w[:, outer])) / float(np.sum(w))
+
+    def test_one_weight_exponential_per_folded_entry(self, coupled_run, monkeypatch):
+        # the weights depend on |k| and |eta| only: (K+1)(N_v/2+1) distinct values
+        counts = collections.Counter()
+        monkeypatch.setattr(norms, "np", _CountingNumpy(counts))
+        prof = norm_profile(coupled_run, PARAMS)
+        folded = (GRID.k_max + 1) * (GRID.N_v // 2 + 1)
+        assert counts["exp"] <= prof.times.size * prof.z_grid.size * folded
+        assert counts["power"] <= 2 * folded
 
 
 @pytest.fixture(scope="module")

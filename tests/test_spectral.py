@@ -8,7 +8,7 @@ from vpdamp.spectral import (
     SpectralState,
     check_resolution,
     eta_derivative,
-    eta_tables,
+    eta_mass,
     record_steps,
     required_nv,
     time_steps,
@@ -120,7 +120,7 @@ class TestTransform:
         st = mode_one_state(g, np.exp(-0.5 * g.v**2))
         st.data[g.mode_index(1), g.N_v // 2] = bad
         for transform in (lambda: to_eta(st, 1), lambda: to_eta(st, 0),
-                          lambda: eta_derivative(st, 1), lambda: eta_tables(st)):
+                          lambda: eta_derivative(st, 1), lambda: eta_mass(st)):
             with pytest.raises(BoundaryDecayError, match="the state is not finite"):
                 transform()
 
@@ -135,10 +135,10 @@ class TestEtaTables:
     def test_rows_equal_per_mode_transforms(self, k_max, n_v):
         g = Grid(k_max=k_max, V=8.0, N_v=n_v)
         st = decayed_state(g, seed=k_max)
-        ghat, dghat = eta_tables(st)
+        mass = eta_mass(st)
         for i, k in enumerate(g.modes):
-            assert np.array_equal(ghat[i], to_eta(st, int(k)))
-            assert np.array_equal(dghat[i], eta_derivative(st, int(k)))
+            want = np.abs(to_eta(st, int(k))) ** 2 + np.abs(eta_derivative(st, int(k))) ** 2
+            assert np.array_equal(mass[i], want)
 
     def test_boundary_error_names_first_mode(self):
         g = Grid(k_max=3, V=10.0, N_v=64)
@@ -154,14 +154,14 @@ class TestEtaTables:
                 break
         assert "k=-1" in expected
         with pytest.raises(BoundaryDecayError) as err:
-            eta_tables(st)
+            eta_mass(st)
         assert str(err.value) == expected
 
     def test_zero_state(self):
         g = Grid(k_max=2, V=6.0, N_v=64)
-        ghat, dghat = eta_tables(SpectralState.zeros(g))
-        assert ghat.shape == dghat.shape == (g.n_modes, g.N_v)
-        assert np.all(ghat == 0.0) and np.all(dghat == 0.0)
+        mass = eta_mass(SpectralState.zeros(g))
+        assert mass.shape == (g.n_modes, g.N_v)
+        assert np.all(mass == 0.0)
 
 
 class TestState:

@@ -39,7 +39,7 @@ def test_no_direct_convolution(path):
 
 def test_norms_use_batched_eta_tables():
     # to_eta and eta_derivative check the whole state's boundary on every call;
-    # the norms build each snapshot's tables once, through spectral.eta_tables.
+    # the norms build each snapshot's transform mass once, through spectral.eta_mass.
     path = Path(vpdamp.__file__).parent / "norms.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names = [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
