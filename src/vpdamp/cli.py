@@ -48,7 +48,10 @@ t,k,re_rho,im_rho,abs_E, and `snapshot_NNNNNN.bin` the binary states
 (64 ASCII hex hash, then little-endian header `<iidd` = k_max, N_v, V,
 t, then the row-major complex64 mode table).  The closure residual is
 null unless every step is both traced and snapshotted; `norms` reads the
-stored run back as a nonlinear.RunRecord.
+stored run back as a nonlinear.RunRecord.  `linear` also fits, per mode,
+the constant of the linear propagator bound in the density norm F
+(norms.check_propagator) at theta1 = penrose.strip_width; the fit is null
+without a stable strip, and null for a mode with fewer than two samples.
 
 Exit codes: 0 success, 2 inconclusive diagnostics, 1 error.  Flags
 --config/--out/--seed; environment variables VPDAMP_CONFIG, VPDAMP_OUT,
@@ -79,9 +82,10 @@ from .linear import DensityTrace, cosine_initial_hat, fit_decay, source_from_ini
 from .nonlinear import (MissingSnapshotsError, RunConfig, RunRecord, Snapshot,
                         closure_residual, echo_experiment, run)
 from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
-                    eta_tail_fraction, fit_FG1, norm_profile, radius, snapshot_density)
+                    check_propagator, eta_tail_fraction, fit_FG1, norm_profile, radius,
+                    snapshot_density)
 from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
-from .penrose import full_report
+from .penrose import NoStableStripError, full_report, strip_width
 from .spectral import Grid, check_resolution, record_steps, required_nv, time_steps
 
 FORMAT_VERSION = 1
@@ -506,6 +510,15 @@ def _fit_or_none(trace: DensityTrace):
             "residual": fit.residual, "n_used": fit.n_used}
 
 
+def _propagator_or_none(k: int, trace: DensityTrace, source, theta1: float,
+                        params: WeightParams):
+    try:
+        fit = check_propagator(k, trace.times, trace.values, source, theta1, params)
+    except ValueError:
+        return None
+    return {"C": fit.C, "at_t": fit.at[0], "at_z": fit.at[1], "n_samples": fit.n_samples}
+
+
 def _cmd_penrose(cfg: ExperimentConfig, opts: _Options) -> tuple:
     rep = full_report(cfg.equilibrium(), k_max_scan=cfg.k_max)
     return 0, {
@@ -535,6 +548,14 @@ def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> tuple:
     if "csv" in cfg.formats:
         _write_trace_csv(opts.out_dir / "traces.csv", opts.cfg_hash,
                          {k: tr.values[idx] for k, tr in traces.items()}, times[idx])
+    try:
+        theta1 = strip_width(eq)
+    except NoStableStripError:
+        propagator = None
+    else:
+        propagator = {str(k): _propagator_or_none(k, tr, source_from_initial(hat0, k, times),
+                                                  theta1, cfg.weights())
+                      for k, tr in traces.items()}
     return 0, {
         "equilibrium": eq.name,
         "modes": [[int(k), off, amp] for (k, amp, off) in modes],
@@ -543,6 +564,7 @@ def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> tuple:
         "fits": {str(k): _fit_or_none(tr) for k, tr in traces.items()},
         "final_abs_field": {str(k): float(abs(tr.field_values[-1]))
                             for k, tr in traces.items()},
+        "propagator": propagator,
     }
 
 

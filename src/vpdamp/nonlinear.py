@@ -51,7 +51,6 @@ class RunConfig:
     dt: float
     t_final: float
     modes: tuple  # (k, amplitude, eta_offset) triples, k > 0
-    linear_term: bool = True
     quadratic_term: bool = True
     trace_stride: int = 1
     snapshot_stride: int = 0
@@ -107,20 +106,9 @@ class RunOutput(RunRecord):
     reality_drift_max: float
 
 
-def field(rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Electric-field coefficients E_k = rho_k/(ik); the mean mode carries none."""
-    rho = np.asarray(rho, dtype=complex)
-    ks = np.asarray(ks)
-    out = np.zeros_like(rho)
-    nz = ks != 0
-    out[nz] = rho[nz] / (1j * ks[nz])
-    return out
-
-
-def initial_state(grid: Grid, eq: Equilibrium, modes,
-                  profile: Optional[Equilibrium] = None) -> SpectralState:
-    """Perturbation sum_j amp_j cos(k_j x + eta_j v) M(v) as a spectral state."""
-    M = (profile if profile is not None else eq).mu(grid.v)
+def initial_state(grid: Grid, profile: Equilibrium, modes) -> SpectralState:
+    """Perturbation sum_j amp_j cos(k_j x + eta_j v) M(v), M = profile.mu, as a spectral state."""
+    M = profile.mu(grid.v)
     data = np.zeros((grid.n_modes, grid.N_v), dtype=np.complex128)
     for km, amp, off in modes:
         km = int(km)
@@ -156,14 +144,14 @@ class _Coupling:
 class _Engine(_Coupling):
     """Grid machinery and preallocated buffers for the stepper of rows k = 0..k_max."""
 
-    def __init__(self, grid: Grid, eq: Equilibrium, linear_term: bool,
-                 quadratic_term: bool):
+    def __init__(self, grid: Grid, eq: Equilibrium, quadratic_term: bool):
         super().__init__(grid.k_max, grid.N_v)
         self.v = grid.v
         self.dv = grid.dv
-        self.linear_term = linear_term
         self.quadratic_term = quadratic_term
         self.mu_prime = np.asarray(eq.mu_prime(grid.v), dtype=float)
+        # free transport (no background slope, no quadratic term): every stage derivative is 0
+        self._free = not (quadratic_term or np.any(self.mu_prime))
         xi = 2.0 * np.pi * np.fft.fftfreq(grid.N_v, d=grid.dv)
         xi[grid.N_v // 2] = 0.0  # unpaired odd mode has no consistent derivative
         self._deriv_symbol = 1j * xi
@@ -174,7 +162,7 @@ class _Engine(_Coupling):
                dt: Optional[float] = None) -> None:
         """d/dt of h = data[k_max:] into out, given phase_rows at t; dt checks stability."""
         K = self.K
-        if not (self.linear_term or self.quadratic_term):
+        if self._free:
             out.fill(0.0)
             return
         rho = self.dv * np.einsum("kj,kj->k", h[1:], rows)
@@ -192,8 +180,7 @@ class _Engine(_Coupling):
             X[1:] -= np.multiply((1j * t * self._ks)[:, None], h[1:], out=self._prod[:K])
         else:
             X = np.zeros_like(h)
-        if self.linear_term:
-            X[0] += self.mu_prime
+        X[0] += self.mu_prime
         self.product(rho, rows, X, out)
 
     def rhs(self, data: np.ndarray, t: float) -> np.ndarray:
@@ -232,22 +219,12 @@ class _Engine(_Coupling):
         return drift
 
 
-def step(state: SpectralState, eq: Equilibrium, dt: float) -> SpectralState:
-    """One classical 4-stage step from state.t; a non-real state is refused, not mirrored."""
-    err = state.reality_error()
-    if err > 1e-12:
-        raise ValueError(f"state.reality_error() = {err:.3e} exceeds 1e-12; need g_-k = conj(g_k)")
-    data = state.data.astype(np.complex128)
-    _Engine(state.grid, eq, True, True).rk4(data, state.t, dt)
-    return SpectralState(state.grid, data, state.t + dt)
-
-
 def run(config: RunConfig) -> RunOutput:
     """Advance the configured state to t_final, recording traces and diagnostics."""
     g = config.grid
     K = g.k_max
-    eng = _Engine(g, config.eq, config.linear_term, config.quadratic_term)
-    init = initial_state(g, config.eq, config.modes, config.profile)
+    eng = _Engine(g, config.eq, config.quadratic_term)
+    init = initial_state(g, config.data_profile, config.modes)
     floor = init.boundary_floor()
     if not floor <= BOUNDARY_DECAY_TOL:  # a NaN floor fails too
         fix = "enlarge V" if math.isfinite(floor) else "the state is not finite"
@@ -352,13 +329,10 @@ def closure_residual(output: RunOutput) -> float:
     ks = np.arange(1, K + 1)
 
     # Volterra memory term per mode, trapezoid end-corrected convolution.
-    # Disabled terms drop out of the identity the run actually solved.
-    volterra = np.zeros((K, N + 1), dtype=np.complex128)
+    volterra = np.empty((K, N + 1), dtype=np.complex128)
     rho = np.empty((K, N + 1), dtype=np.complex128)
     for k in ks:
         rho[k - 1] = output.traces[k].values
-        if not cfg.linear_term:
-            continue
         kap = times * np.asarray(cfg.eq.mu_hat(k * times), dtype=float)
         volterra[k - 1] = trapezoid_convolve(kap, rho[k - 1], dt)
 
@@ -465,7 +439,6 @@ def echo_experiment(config: RunConfig) -> EchoReport:
 
     out = run(config)
     times = out.times
-    prof_hat = config.data_profile.mu_hat
     hat0 = cosine_initial_hat(config.data_profile, config.modes)
 
     peaks = []

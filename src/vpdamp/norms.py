@@ -80,24 +80,11 @@ class WeightParams:
         return np.linspace(0.0, self.lam1, 33)
 
 
-def standard_params() -> WeightParams:
-    """The parameter point every diagnostic defaults to."""
-    return WeightParams(gamma=1.0, sigma=3.2, delta=0.1, lam0=0.05, lam1=0.2)
-
-
 def bracket(k, eta) -> np.ndarray:
     """<k,eta> = sqrt(1 + k^2 + eta^2)."""
     k = _as_float_array(k)
     eta = _as_float_array(eta)
     return np.sqrt(1.0 + k * k + eta * eta)
-
-
-def weight(k, eta, z: float, params: WeightParams):
-    """A_{k,eta} = e^{z <k,eta>^gamma} <k,eta>^sigma for z >= 0."""
-    if z < 0.0:
-        raise ValueError(f"need z >= 0, got z = {z}")
-    b = bracket(k, eta)
-    return np.exp(z * b**params.gamma) * b**params.sigma
 
 
 def _weight_tables(grid, params: WeightParams, z_max: float):
@@ -124,14 +111,6 @@ def _weighted(tables, mass: np.ndarray, z: float) -> np.ndarray:
 
 def _G_from_tables(tables, mass: np.ndarray, z: float, deta: float) -> float:
     return float(deta * np.sum(_weighted(tables, mass, z)))
-
-
-def gen_G(state: SpectralState, z: float, params: WeightParams) -> float:
-    """The velocity-side generator functional at analyticity radius z."""
-    if z < 0.0:
-        raise ValueError(f"need z >= 0, got z = {z}")
-    tables = _weight_tables(state.grid, params, z)
-    return _G_from_tables(tables, eta_mass(state), z, state.grid.deta)
 
 
 def eta_tail_fraction(state: SpectralState, z: float, params: WeightParams) -> float:
@@ -252,8 +231,6 @@ class FG1Report:
 
 def check_FG1(output, params: WeightParams) -> FG1Report:
     """fit_FG1 on the norm profile of the run's snapshots."""
-    if len(output.snapshots) < 3:
-        raise ValueError("need at least 3 snapshots for centered time differencing")
     return fit_FG1(norm_profile(output, params))
 
 

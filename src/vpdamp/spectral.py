@@ -171,15 +171,8 @@ class SpectralState:
             raise ValueError(f"data shape {self.data.shape}, expected {want}")
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "SpectralState":
-        return cls(grid, np.zeros((grid.n_modes, grid.N_v), dtype=np.complex128))
-
     def mode(self, k: int) -> np.ndarray:
         return self.data[self.grid.mode_index(k)]
-
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.grid, self.data.copy(), self.t)
 
     def reality_error(self) -> float:
         """Max |g_k - conj(g_{-k})| relative to the state magnitude."""

@@ -26,10 +26,11 @@ from vpdamp.linear import (DensityTrace, contour_parameters, cosine_initial_hat,
                            fit_decay, resolvent_kernel, solve_via_kernel,
                            source_from_initial, volterra_solve)
 from vpdamp.nonlinear import RunConfig, closure_residual, echo_experiment, run
-from vpdamp.norms import (check_contraction, check_F_le_sqrtG, check_FG1,
-                          gen_F, radius, standard_params)
+from vpdamp.norms import check_contraction, check_F_le_sqrtG, check_FG1, gen_F, radius
 from vpdamp.penrose import landau_root, strip_width
 from vpdamp.spectral import Grid
+
+from norm_oracles import standard_params
 
 EQ = gaussian()
 # frozen Newton-oracle references
@@ -73,8 +74,8 @@ def _density_at(output, t: float) -> dict:
 def _c1(cache):
     grid = Grid(k_max=8, V=8.0, N_v=1024)
     modes = tuple((k, 1e-3, 0.0) for k in range(1, 9))
-    out = run(RunConfig(eq=EQ, grid=grid, dt=5e-2, t_final=20.0, modes=modes,
-                        linear_term=False, quadratic_term=False))
+    out = run(RunConfig(eq=zero(), grid=grid, dt=5e-2, t_final=20.0, modes=modes,
+                        quadratic_term=False, profile=EQ))
     payload = {"times": out.times}
     rel = {}
     for k in range(1, 9):

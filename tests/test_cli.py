@@ -4,6 +4,7 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,9 @@ import pytest
 
 import vpdamp
 from vpdamp import cli, norms
+from vpdamp.linear import cosine_initial_hat, source_from_initial, volterra_solve
 from vpdamp.norms import norm_profile
+from vpdamp.penrose import NoStableStripError, strip_width
 from vpdamp.spectral import Grid, required_nv
 
 MINIMAL = "[equilibrium]\nname = gaussian\n"
@@ -288,6 +291,38 @@ class TestLinearCommand:
         rate = rep["fits"]["1"]["rate"]
         assert abs(rate - 0.8513304555998186) / 0.8513304555998186 < 0.05
         assert not (tmp_path / "lin2" / "traces.csv").exists()
+
+    def test_propagator_fit_is_the_direct_fit(self, tmp_path):
+        # the linear estimate in the density norm, at the strip width penrose certifies
+        path = write_config(tmp_path, config_text(tmp_path / "lin3", formats="json"))
+        assert cli.main(["linear", "--config", str(path)]) == 0
+        got = json.loads((tmp_path / "lin3" / "linear.json").read_text())["propagator"]
+        cfg = cli.parse_file(path)
+        eq = cfg.equilibrium()
+        hat0 = cosine_initial_hat(eq, cfg.run_modes())
+        tr = volterra_solve(eq, 1, lambda ts: source_from_initial(hat0, 1, ts),
+                            cfg.dt, cfg.t_final)
+        fit = norms.check_propagator(1, tr.times, tr.values,
+                                     source_from_initial(hat0, 1, tr.times),
+                                     strip_width(eq), cfg.weights())
+        assert set(got) == {"1"} and math.isfinite(got["1"]["C"])
+        assert got["1"] == {"C": fit.C, "at_t": fit.at[0], "at_z": fit.at[1],
+                            "n_samples": fit.n_samples}
+
+    def test_propagator_null_without_a_strip_or_samples(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, config_text(tmp_path / "lin4", T=0.0, formats="json"))
+        assert cli.main(["linear", "--config", str(path)]) == 0
+        rep = json.loads((tmp_path / "lin4" / "linear.json").read_text())
+        assert rep["propagator"] == {"1": None}  # one sample: nothing to fit
+
+        def unstable(eq):
+            raise NoStableStripError(f"no zero-free strip found for {eq.name}")
+
+        monkeypatch.setattr(cli, "strip_width", unstable)
+        path = write_config(tmp_path, config_text(tmp_path / "lin5", formats="json"))
+        assert cli.main(["linear", "--config", str(path)]) == 0
+        rep = json.loads((tmp_path / "lin5" / "linear.json").read_text())
+        assert rep["propagator"] is None and rep["fits"]["1"] is not None
 
 
 @pytest.fixture(scope="module")

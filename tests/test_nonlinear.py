@@ -14,10 +14,8 @@ from vpdamp.nonlinear import (
     StabilityError,
     closure_residual,
     echo_experiment,
-    field,
     initial_state,
     run,
-    step,
 )
 from vpdamp.spectral import BoundaryDecayError, Grid, phase_rows
 
@@ -121,26 +119,19 @@ class TestStateSetup:
         assert np.all(st.data[g.mode_index(0)] == 0)
         assert st.reality_error() == 0.0
 
-    def test_field_skips_mean_mode(self):
-        ks = np.array([-2, -1, 0, 1, 2])
-        rho = np.array([1.0, 2.0, 3.0, 4.0, 5.0], dtype=complex)
-        E = field(rho, ks)
-        assert E[2] == 0.0
-        assert np.allclose(E[[0, 1, 3, 4]], rho[[0, 1, 3, 4]] / (1j * ks[[0, 1, 3, 4]]))
-
 
 class TestFreeTransport:
     def test_state_constant_without_field_feedback(self):
-        cfg = RunConfig(eq=EQ, grid=GRID, dt=0.05, t_final=5.0,
+        cfg = RunConfig(eq=zero(), grid=GRID, dt=0.05, t_final=5.0,
                         modes=((1, 1e-3, 0.0), (3, 1e-4, 2.0)),
-                        linear_term=False, quadratic_term=False)
+                        quadratic_term=False, profile=EQ)
         out = run(cfg)
         assert np.array_equal(out.final_state.data, out.initial_state.data)
         assert out.reality_drift_max == 0.0
 
     def test_density_trace_is_the_streaming_moment(self):
-        cfg = RunConfig(eq=EQ, grid=GRID, dt=0.05, t_final=5.0, modes=((1, 1e-3, 0.0),),
-                        linear_term=False, quadratic_term=False)
+        cfg = RunConfig(eq=zero(), grid=GRID, dt=0.05, t_final=5.0, modes=((1, 1e-3, 0.0),),
+                        quadratic_term=False, profile=EQ)
         out = run(cfg)
         tr = out.traces[1]
         want = 0.5e-3 * np.exp(-0.5 * tr.times**2)
@@ -195,28 +186,10 @@ class TestTimeStepper:
         assert e1 < 1e-10
         assert 14.0 < e1 / e2 < 18.0
 
-    def test_step_composes_like_run(self):
-        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=2e-2,
-                        modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
-        out = run(cfg)
-        st = initial_state(GRID, EQ, cfg.modes)
-        st = step(st, EQ, 1e-2)
-        st = step(st, EQ, 1e-2)
-        assert st.t == pytest.approx(2e-2)
-        assert np.array_equal(st.data, out.final_state.data)
-
     def test_stability_refusal_names_a_usable_dt(self):
         cfg = RunConfig(eq=EQ, grid=GRID, dt=0.5, t_final=10.0, modes=((1, 0.5, 0.0),))
         with pytest.raises(StabilityError, match="use dt <"):
             run(cfg)
-
-    def test_step_refuses_non_real_state(self):
-        st = initial_state(GRID, EQ, ((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
-        assert step(st, EQ, 1e-2).t == pytest.approx(1e-2)
-        bad = st.copy()
-        bad.data[GRID.mode_index(-1)] *= 1.0 + 1e-6
-        with pytest.raises(ValueError, match=r"reality_error\(\)"):
-            step(bad, EQ, 1e-2)
 
 
 class TestRhsOracle:
@@ -232,7 +205,7 @@ class TestRhsOracle:
                         modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
         state = run(cfg).final_state
         t = 0.5
-        eng = _Engine(g, EQ, True, True)
+        eng = _Engine(g, EQ, True)
         rhs = eng.rhs(state.data, t)
         K = g.k_max
         rho_pos = g.dv * np.einsum("kj,kj->k", state.data[K + 1:], phase_rows(t, g.v, K))
@@ -290,7 +263,7 @@ class TestCouplingKernel:
                 if l != 0 and abs(k - l) <= K:
                     want[k] += (k / l) * data[K + k - l] * rho[l] * np.exp(1j * l * s * g.v)
 
-        eng = _Engine(g, EQ, True, True)
+        eng = _Engine(g, EQ, True)
         out = np.zeros((K + 1, g.N_v), dtype=complex)
         eng.product(rho_pos, phase_rows(s, g.v, K), data[K:], out)
         got = -1j * np.arange(K + 1)[:, None] * out
@@ -348,7 +321,7 @@ class TestHalfModeStepper:
 
         g, K = self.CFG.grid, self.CFG.grid.k_max
         state = out.final_state
-        got = _Engine(g, EQ, True, True).rhs(state.data, state.t)
+        got = _Engine(g, EQ, True).rhs(state.data, state.t)
         assert np.array_equal(got[:K], np.conj(got[:K:-1]))
         want = full_row_rhs(state.data, state.t, g, EQ)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -366,7 +339,7 @@ class TestHalfModeStepper:
                 + 1j * rng.standard_normal((2 * K + 1, g.N_v))) * 1e-2 * EQ.mu(g.v)
         data[:K] = np.conj(data[:K:-1])
         data[K] = data[K].real
-        got = _Engine(g, EQ, linear, quadratic).rhs(data, 1.3)
+        got = _Engine(g, EQ if linear else zero(), quadratic).rhs(data, 1.3)
         want = full_row_rhs(data, 1.3, g, EQ, linear, quadratic)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -386,8 +359,8 @@ class TestConservation:
     def test_transport_skew_symmetry(self):
         # with the driving term off the quadratic bracket conserves the
         # velocity-integrated square sum up to dealiasing
-        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-3, t_final=3.0, modes=((1, 1e-2, 0.0),),
-                        linear_term=False)
+        cfg = RunConfig(eq=zero(), grid=GRID, dt=1e-3, t_final=3.0, modes=((1, 1e-2, 0.0),),
+                        profile=EQ)
         out = run(cfg)
         assert np.max(out.conservation["l2_drift"]) < 1e-14
         assert np.max(out.conservation["dealias"]) < 1e-10
@@ -463,8 +436,8 @@ class TestClosure:
         assert closure_residual(run(cfg)) == 0.0
 
     def test_free_transport_identity(self):
-        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-3, 0.0),),
-                        linear_term=False, quadratic_term=False, snapshot_stride=1)
+        cfg = RunConfig(eq=zero(), grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-3, 0.0),),
+                        quadratic_term=False, snapshot_stride=1, profile=EQ)
         assert closure_residual(run(cfg)) < 1e-14
 
     def test_holds_no_mode_pair_buffer(self):

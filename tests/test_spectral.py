@@ -21,7 +21,7 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 
 def mode_one_state(grid, vals):
     """State with g_1 = vals, g_-1 = conj(vals) and every other mode zero."""
-    st = SpectralState.zeros(grid)
+    st = SpectralState(grid, np.zeros((grid.n_modes, grid.N_v)))
     st.data[grid.mode_index(1)] = vals
     st.data[grid.mode_index(-1)] = np.conj(vals)
     return st
@@ -126,7 +126,7 @@ class TestTransform:
 
     def test_zero_state_passes_gate(self):
         g = Grid(k_max=1, V=6.0, N_v=64)
-        st = SpectralState.zeros(g)
+        st = SpectralState(g, np.zeros((g.n_modes, g.N_v)))
         assert np.all(to_eta(st, 0) == 0.0)
 
 
@@ -159,7 +159,7 @@ class TestEtaTables:
 
     def test_zero_state(self):
         g = Grid(k_max=2, V=6.0, N_v=64)
-        mass = eta_mass(SpectralState.zeros(g))
+        mass = eta_mass(SpectralState(g, np.zeros((g.n_modes, g.N_v))))
         assert mass.shape == (g.n_modes, g.N_v)
         assert np.all(mass == 0.0)
 
@@ -174,7 +174,7 @@ class TestState:
         g = Grid(k_max=1, V=6.0, N_v=64)
         st = decayed_state(g)
         assert 0.0 < st.boundary_floor() < 1e-6
-        assert SpectralState.zeros(g).boundary_floor() == 0.0
+        assert SpectralState(g, np.zeros((g.n_modes, g.N_v))).boundary_floor() == 0.0
 
 
 class TestTrapezoidConvolve:

@@ -141,3 +141,42 @@ def test_one_mode_convolution_kernel():
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     assert "phase_sum" not in imported
+
+
+def _used(tree, strings=False) -> set:
+    """Names, attributes and imported names a tree mentions; with strings, its str constants."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_public_names_are_reached():
+    # The public surface is what a command, the README's python or perfbench
+    # reaches: a public top-level function or class must be used in its own
+    # module outside its own def, imported by another module of the package,
+    # named in a README python block, or named anywhere under perfbench/
+    # (the tracer's PATCHES name their attributes as strings).  Tests do not count.
+    repo = Path(__file__).resolve().parent.parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    reached = {alias.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+    for block in re.findall(r"```python\n(.*?)```", (repo / "README.md").read_text(), re.S):
+        reached |= _used(ast.parse(block))
+    for path in sorted((repo / "perfbench").glob("*.py")):
+        reached |= _used(ast.parse(path.read_text(), filename=str(path)), strings=True)
+    unreached = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in reached
+        and not any(node.name in _used(other) for other in tree.body if other is not node)
+    ]
+    assert not unreached, f"public names only tests reach: {unreached}"
