@@ -46,12 +46,14 @@ itself, `<command>.json` the versioned summary (floats with 17
 significant digits), `traces.csv` the density traces with columns
 t,k,re_rho,im_rho,abs_E, and `snapshot_NNNNNN.bin` the binary states
 (64 ASCII hex hash, then little-endian header `<iidd` = k_max, N_v, V,
-t, then the row-major complex64 mode table).  The closure residual is
-null unless every step is both traced and snapshotted; `norms` reads the
-stored run back as a nonlinear.RunRecord.  `linear` also fits, per mode,
-the constant of the linear propagator bound in the density norm F
-(norms.check_propagator) at theta1 = penrose.strip_width; the fit is null
-without a stable strip, and null for a mode with fewer than two samples.
+t, then the row-major complex64 mode table), each written as the run
+takes it.  The closure residual is accumulated during the run and null
+unless every step is both traced and snapshotted.  `norms` checks every
+snapshot file's hash, grid and size first, then reads the stored run back
+as a nonlinear.RunRecord that reads one snapshot at a time.  `linear` also
+fits, per mode, the constant of the linear propagator bound in the density
+norm F (norms.check_propagator) at theta1 = penrose.strip_width; the fit is
+null without a stable strip, and null for a mode with fewer than two samples.
 
 Exit codes: 0 success, 2 inconclusive diagnostics, 1 error.  Flags
 --config/--out/--seed; environment variables VPDAMP_CONFIG, VPDAMP_OUT,
@@ -70,6 +72,7 @@ import math
 import os
 import struct
 import sys
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 from pathlib import Path
@@ -79,8 +82,8 @@ import numpy as np
 from . import __version__
 from .equilibria import Equilibrium, gaussian, two_stream, zero
 from .linear import DensityTrace, cosine_initial_hat, fit_decay, source_from_initial, volterra_solve
-from .nonlinear import (MissingSnapshotsError, RunConfig, RunRecord, Snapshot,
-                        closure_residual, echo_experiment, run)
+from .nonlinear import RunConfig, RunRecord, Snapshot, echo_experiment, run
+from .nonlinear import closure_residual  # noqa: F401  (perfbench's tracer wraps it here)
 from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
                     check_propagator, eta_tail_fraction, fit_FG1, norm_profile, radius,
                     snapshot_density)
@@ -473,21 +476,39 @@ def write_snapshot(path, cfg_hash: str, grid: Grid, snap: Snapshot) -> None:
         fh.write(data.tobytes(order="C"))
 
 
+def _snapshot_header(path):
+    """(hash, grid, t) from a snapshot file's header, refused unless the size matches it."""
+    with open(path, "rb") as fh:
+        head = fh.read(64 + _SNAP_HEADER.size)
+    if len(head) < 64 + _SNAP_HEADER.size:
+        raise ValueError(f"{path} is too short to be a snapshot file")
+    k_max, N_v, V, t = _SNAP_HEADER.unpack_from(head, 64)
+    expected = 64 + _SNAP_HEADER.size + 8 * (2 * k_max + 1) * N_v
+    size = Path(path).stat().st_size
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes for a "
+                         f"(k_max={k_max}, N_v={N_v}) snapshot, got {size}")
+    return head[:64].decode("ascii"), Grid(k_max=k_max, V=V, N_v=N_v), t
+
+
 def read_snapshot(path):
     """(hash, grid, snapshot) back from the binary layout."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 64 + _SNAP_HEADER.size:
-        raise ValueError(f"{path} is too short to be a snapshot file")
-    file_hash = blob[:64].decode("ascii")
-    k_max, N_v, V, t = _SNAP_HEADER.unpack_from(blob, 64)
-    count = (2 * k_max + 1) * N_v
-    expected = 64 + _SNAP_HEADER.size + 8 * count
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes for a "
-                         f"(k_max={k_max}, N_v={N_v}) snapshot, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<c8", offset=64 + _SNAP_HEADER.size,
-                         count=count).reshape(2 * k_max + 1, N_v)
-    return file_hash, Grid(k_max=k_max, V=V, N_v=N_v), Snapshot(t=t, data=data.copy())
+    file_hash, grid, t = _snapshot_header(path)
+    data = np.fromfile(path, dtype="<c8", offset=64 + _SNAP_HEADER.size)
+    return file_hash, grid, Snapshot(t=t, data=data.reshape(grid.n_modes, grid.N_v))
+
+
+@dataclass(frozen=True)
+class _SnapshotFiles(Sequence):
+    """Snapshots of checked files, each read from its file when indexed."""
+
+    paths: list
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, i: int) -> Snapshot:
+        return read_snapshot(self.paths[i])[2]
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +591,19 @@ def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> tuple:
 
 def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> tuple:
     rc = cfg.run_config(opts.seed, cfg.snapshot_stride)
-    out = run(rc)
+    n_snapshots = 0
+
+    def sink(snap: Snapshot) -> None:  # a run that fails leaves the snapshots it took
+        nonlocal n_snapshots
+        if "snapshots" in cfg.formats:
+            write_snapshot(opts.out_dir / f"snapshot_{n_snapshots:06d}.bin", opts.cfg_hash,
+                           rc.grid, snap)
+        n_snapshots += 1
+
+    out = run(rc, sink)
     if "csv" in cfg.formats:
         _write_trace_csv(opts.out_dir / "traces.csv", opts.cfg_hash,
                          {k: tr.values for k, tr in out.traces.items()}, out.times)
-    if "snapshots" in cfg.formats:
-        for i, snap in enumerate(out.snapshots):
-            write_snapshot(opts.out_dir / f"snapshot_{i:06d}.bin", opts.cfg_hash, rc.grid, snap)
-    try:
-        closure = closure_residual(out)
-    except MissingSnapshotsError:
-        closure = None
     cons = out.conservation
     return 0, {
         "equilibrium": rc.eq.name,
@@ -593,12 +616,12 @@ def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> tuple:
             "reality_drift_max": out.reality_drift_max,
             "dealias_max": float(np.max(cons["dealias"])),
         },
-        "closure_residual": closure,
+        "closure_residual": out.closure,
         "fits": {str(k): _fit_or_none(out.traces[k])
                  for k in sorted({int(k) for (k, _, _) in rc.modes})},
         "final_abs_field": {str(k): float(abs(tr.field_values[-1]))
                             for k, tr in sorted(out.traces.items())},
-        "n_snapshots": len(out.snapshots),
+        "n_snapshots": n_snapshots,
     }
 
 
@@ -624,19 +647,18 @@ def _load_run(cfg: ExperimentConfig, opts: _Options) -> RunRecord:
         raise ValueError(f"{trace_path} was written by a different config "
                          f"(hash {file_hash[:12]}.., expected {h[:12]}..)")
     grid = cfg.grid()
-    snaps = []
-    for path in sorted(opts.out_dir.glob("snapshot_*.bin")):
-        s_hash, s_grid, snap = read_snapshot(path)
+    paths = sorted(opts.out_dir.glob("snapshot_*.bin"))
+    for path in paths:
+        s_hash, s_grid, _ = _snapshot_header(path)
         if s_hash != h:
             raise ValueError(f"{path} was written by a different config")
         if s_grid != grid:
             raise ValueError(f"{path} grid {s_grid} does not match the config grid {grid}")
-        snaps.append(snap)
-    if not snaps:
+    if not paths:
         raise FileNotFoundError(f"no snapshot files in {opts.out_dir}; rerun the "
                                 "nonlinear subcommand with formats = csv,json,snapshots")
     traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
-    return RunRecord(grid=grid, times=times, traces=traces, snapshots=snaps)
+    return RunRecord(grid=grid, times=times, traces=traces, snapshots=_SnapshotFiles(paths))
 
 
 def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class RunRecord:
     grid: Grid
     times: np.ndarray
     traces: dict  # k > 0 -> DensityTrace
-    snapshots: list  # Snapshot, ordered by t, always ends with the final state
+    snapshots: Sequence  # Snapshot by t, ending with the final state; [] if run had a sink
 
 
 @dataclass
@@ -102,8 +102,9 @@ class RunOutput(RunRecord):
     config: RunConfig
     initial_state: SpectralState
     final_state: SpectralState
-    conservation: dict  # arrays keyed 't', 'mass_drift', 'l2', 'l2_drift', 'reality_drift', 'dealias'
+    conservation: dict  # arrays t, mass_drift, l2, l2_drift, reality_drift, dealias, boundary_floor
     reality_drift_max: float
+    closure: Optional[float] = None  # closure_residual, accumulated when a dense run has a sink
 
 
 def initial_state(grid: Grid, profile: Equilibrium, modes) -> SpectralState:
@@ -219,61 +220,69 @@ class _Engine(_Coupling):
         return drift
 
 
-def run(config: RunConfig) -> RunOutput:
-    """Advance the configured state to t_final, recording traces and diagnostics."""
+def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) -> RunOutput:
+    """Advance the configured state to t_final, recording traces and diagnostics.
+
+    Snapshots go to sink as they are taken (else to the output's list); a dense run
+    with a sink also accumulates closure_residual into the output's closure.  Each
+    recorded step raises BoundaryDecayError on a boundary floor above tolerance.
+    """
     g = config.grid
     K = g.k_max
     eng = _Engine(g, config.eq, config.quadratic_term)
     init = initial_state(g, config.data_profile, config.modes)
-    floor = init.boundary_floor()
-    if not floor <= BOUNDARY_DECAY_TOL:  # a NaN floor fails too
-        fix = "enlarge V" if math.isfinite(floor) else "the state is not finite"
-        raise BoundaryDecayError(f"initial state has boundary floor {floor:.3e} at |v| = V "
-                                 f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); {fix}")
     data = init.data.copy()
     N = config.n_steps
     dt = config.dt
 
     rec_idx = record_steps(N, config.trace_stride)
     rec_set = {n: i for i, n in enumerate(rec_idx)}
+    snap_set = set(record_steps(N, config.snapshot_stride) if config.snapshot_stride else [N])
     n_rec = len(rec_idx)
     times_rec = dt * np.asarray(rec_idx, dtype=float)
     trace_vals = np.zeros((K, n_rec), dtype=np.complex128)
-    mass = np.zeros(n_rec)
-    l2 = np.zeros(n_rec)
-    reality = np.zeros(n_rec)
-    dealias = np.zeros(n_rec)
+    mass, l2, reality, dealias, floor = np.zeros((5, n_rec))
+    rows = np.empty((K, g.N_v), dtype=np.complex128)  # phase rows of the last recorded step
 
     snapshots: list = []
+    emit = snapshots.append if sink is None else sink
+    dense = config.trace_stride == 1 and len(snap_set) == N + 1
+    closure = _Closure(config, init.data, times_rec, eng) if sink is not None and dense else None
 
-    def record(n: int, t: float, drift: float) -> None:
-        i = rec_set[n]
-        rows = phase_rows(t, eng.v, K)
-        rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], rows)
+    def record(n: int, drift: float) -> None:
+        i, t = rec_set[n], n * dt
+        rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], phase_rows(t, eng.v, K, rows))
         trace_vals[:, i] = rho_pos
         mass[i] = abs(eng.dv * np.sum(data[K]))
-        l2[i] = eng.dv * float(np.sum(np.abs(data) ** 2))
+        a2 = np.abs(data) ** 2
+        l2[i] = eng.dv * float(np.sum(a2))
         reality[i] = drift
         emax = float(np.max(np.abs(rho_pos) / eng._ks))
-        edge = eng.dv * float(np.sum(np.abs(data[0]) ** 2) + np.sum(np.abs(data[-1]) ** 2))
-        dealias[i] = emax * math.sqrt(edge)
+        dealias[i] = emax * math.sqrt(eng.dv * float(np.sum(a2[0]) + np.sum(a2[-1])))
+        top = float(np.max(a2))
+        floor[i] = math.sqrt(float(np.max(a2[:, [0, -1]])) / top) if top else 0.0
+        # a state gone non-finite mid-run is left to the next step's stability check
+        if not floor[i] <= BOUNDARY_DECAY_TOL and (n == 0 or math.isfinite(floor[i])):
+            where = "initial state" if n == 0 else f"state at step {n} (t = {t:g})"
+            fix = "enlarge V" if math.isfinite(floor[i]) else "the state is not finite"
+            raise BoundaryDecayError(f"{where} has boundary floor {floor[i]:.3e} at |v| = V "
+                                     f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); {fix}")
 
     drift_max = pending_drift = 0.0
-    if config.snapshot_stride > 0:
-        snapshots.append(Snapshot(0.0, data.astype(np.complex64)))
-    record(0, 0.0, 0.0)
-    for n in range(1, N + 1):
-        d = eng.rk4(data, (n - 1) * dt, dt)
-        drift_max = max(drift_max, d)
-        pending_drift = max(pending_drift, d)
-        if config.snapshot_stride > 0 and n % config.snapshot_stride == 0:
-            snapshots.append(Snapshot(n * dt, data.astype(np.complex64)))
+    for n in range(N + 1):
+        if n:
+            d = eng.rk4(data, (n - 1) * dt, dt)
+            drift_max = max(drift_max, d)
+            pending_drift = max(pending_drift, d)
         if n in rec_set:
-            record(n, n * dt, pending_drift)
+            record(n, pending_drift)
             pending_drift = 0.0
+        if n in snap_set:
+            snap = Snapshot(n * dt, data.astype(np.complex64))
+            emit(snap)
+            if closure is not None:
+                closure.add(trace_vals[:, n], rows, snap.data[K:])
 
-    if not snapshots or snapshots[-1].t != N * dt:
-        snapshots.append(Snapshot(N * dt, data.astype(np.complex64)))
     final = SpectralState(g, data.copy(), N * dt)
     traces = {
         k: DensityTrace(k=k, times=times_rec, values=trace_vals[k - 1].copy())
@@ -286,12 +295,51 @@ def run(config: RunConfig) -> RunOutput:
         "l2_drift": np.abs(l2 - l2[0]),
         "reality_drift": reality,
         "dealias": dealias,
+        "boundary_floor": floor,
     }
     return RunOutput(
         grid=g, config=config, times=times_rec, traces=traces, snapshots=snapshots,
         initial_state=init, final_state=final, conservation=conservation,
-        reality_drift_max=drift_max,
+        reality_drift_max=drift_max, closure=closure.residual() if closure else None,
     )
+
+
+class _Closure:
+    """closure_residual fed a dense run's states in step order: running trapezoid sums
+    P = int f ds and Ra = int s f ds of f = -sum_l C_l g_{k-l}, rows k = 0..K (the
+    integrand is -i k f, or nothing without the quadratic term), and S0 and Q per step."""
+
+    def __init__(self, cfg: RunConfig, init: np.ndarray, times: np.ndarray, coupling: _Coupling):
+        g, K = cfg.grid, cfg.grid.k_max
+        self.cfg, self.times, self.coupling, self.n = cfg, times, coupling, 0
+        self.init = init[K + 1 :]
+        self.weight = -1j * g.dv * coupling._ks * cfg.quadratic_term
+        self.f_prev, self.f_cur, self.P, self.Ra = np.zeros((4, K + 1, g.N_v), dtype=np.complex128)
+        self.rho, self.S0, self.Q = np.zeros((3, K, times.size), dtype=np.complex128)
+
+    def add(self, rho: np.ndarray, rows: np.ndarray, X: np.ndarray) -> None:
+        """The next step's rho_1..K, phase_rows at its time and its rows X_0..X_K."""
+        n, times = self.n, self.times
+        self.rho[:, n] = rho
+        self.coupling.product(rho, rows, X, self.f_cur)
+        if n:  # at t = 0 every integral vanishes and rho(0) = S0(0) by construction
+            w = 0.5 * self.cfg.dt
+            self.P += w * (self.f_prev + self.f_cur)
+            self.Ra += w * (times[n - 1] * self.f_prev + times[n] * self.f_cur)
+            self.S0[:, n] = self.cfg.grid.dv * np.einsum("kj,kj->k", self.init, rows)
+            self.Q[:, n] = self.weight * np.einsum("kj,kj->k",
+                                                   times[n] * self.P[1:] - self.Ra[1:], rows)
+        self.f_prev, self.f_cur = self.f_cur, self.f_prev
+        self.n += 1
+
+    def residual(self) -> float:
+        """max |rho + volterra - S0 + Q| over steps n >= 1; the Volterra memory term
+        needs the whole density history, so it is formed here."""
+        ts, mu_hat = self.times, self.cfg.eq.mu_hat
+        volterra = np.array([trapezoid_convolve(ts * np.asarray(mu_hat(k * ts), dtype=float),
+                                                rho, self.cfg.dt)
+                             for k, rho in enumerate(self.rho, 1)])
+        return float(np.max(np.abs(self.rho + volterra - self.S0 + self.Q)[:, 1:], initial=0.0))
 
 
 def closure_residual(output: RunOutput) -> float:
@@ -306,7 +354,8 @@ def closure_residual(output: RunOutput) -> float:
     evolution solved the right equation.  The interaction integrand
     sum_l (k/l) g_{k-l} rho_l e^{i l s v} = i k sum_l C_l g_{k-l} replays the
     stepper's coupling kernel over the snapshots, and the initial-data
-    moments are read with the same phase rows.
+    moments are read with the same phase rows.  The replay feeds the
+    accumulator a run with a sink feeds as it steps: the values are bit-identical.
     Raises MissingSnapshotsError unless every step is traced and snapshotted.
     """
     cfg = output.config
@@ -316,7 +365,6 @@ def closure_residual(output: RunOutput) -> float:
     K = g.k_max
     N = cfg.n_steps
     dt = cfg.dt
-    times = output.times
     snaps = output.snapshots
     if len(snaps) != N + 1 or any(
         abs(s.t - n * dt) > 1e-12 * max(1.0, n * dt) for n, s in enumerate(snaps)
@@ -324,39 +372,11 @@ def closure_residual(output: RunOutput) -> float:
         raise MissingSnapshotsError(
             "closure residual needs dense snapshots; rerun with snapshot_stride=1"
         )
-
-    v = g.v
-    ks = np.arange(1, K + 1)
-
-    # Volterra memory term per mode, trapezoid end-corrected convolution.
-    volterra = np.empty((K, N + 1), dtype=np.complex128)
-    rho = np.empty((K, N + 1), dtype=np.complex128)
-    for k in ks:
-        rho[k - 1] = output.traces[k].values
-        kap = times * np.asarray(cfg.eq.mu_hat(k * times), dtype=float)
-        volterra[k - 1] = trapezoid_convolve(kap, rho[k - 1], dt)
-
-    # Running trapezoid sums P = int f ds and Ra = int s f ds of f = -sum_l C_l g_{k-l},
-    # rows k = 0..K; the integrand is -i k f, or nothing without the quadratic term.
-    coupling = _Coupling(K, g.N_v)
-    init = output.initial_state.data[K + 1 :]
-    weight = -1j * g.dv * ks * cfg.quadratic_term
-    f_prev, f_cur, P, Ra = np.zeros((4, K + 1, g.N_v), dtype=np.complex128)
-    rows = phase_rows(0.0, v, K)
-    coupling.product(rho[:, 0], rows, snaps[0].data[K:], f_prev)
-    # t = 0: all integrals vanish; residual is rho(0) - S0(0) = 0 by construction
-    residual = 0.0
-    w = 0.5 * dt
-    for n in range(1, N + 1):
-        phase_rows(times[n], v, K, rows)
-        coupling.product(rho[:, n], rows, snaps[n].data[K:], f_cur)
-        P += w * (f_prev + f_cur)
-        Ra += w * (times[n - 1] * f_prev + times[n] * f_cur)
-        S0 = g.dv * np.einsum("kj,kj->k", init, rows)
-        Q = weight * np.einsum("kj,kj->k", times[n] * P[1:] - Ra[1:], rows)
-        residual = max(residual, float(np.max(np.abs(rho[:, n] + volterra[:, n] - S0 + Q))))
-        f_prev, f_cur = f_cur, f_prev
-    return residual
+    closure = _Closure(cfg, output.initial_state.data, output.times, _Coupling(K, g.N_v))
+    rho = np.array([output.traces[k].values for k in range(1, K + 1)])
+    for n, snap in enumerate(snaps):
+        closure.add(rho[:, n], phase_rows(output.times[n], g.v, K), snap.data[K:])
+    return closure.residual()
 
 
 @dataclass(frozen=True)
@@ -373,12 +393,6 @@ class EchoReport:
     peaks: tuple
     inconclusive: bool
     noise_floor: float
-
-    def peak_for(self, mode: int) -> Optional[EchoPeak]:
-        for p in self.peaks:
-            if p.mode == mode:
-                return p
-        return None
 
 
 def _interior_peak(times: np.ndarray, mag: np.ndarray):

@@ -205,11 +205,12 @@ def norm_profile(output, params: WeightParams) -> NormProfile:
     """Tabulate G and F over a RunRecord's snapshots and params.z_grid."""
     zs = params.z_grid
     grid = output.grid
-    times = np.array([s.t for s in output.snapshots])
+    times = np.empty(len(output.snapshots))
     G = np.empty((times.size, zs.size))
     F = np.empty_like(G)
     tables = _weight_tables(grid, params, float(zs[-1]))
-    for i, snap in enumerate(output.snapshots):
+    for i, snap in enumerate(output.snapshots):  # one read of each snapshot
+        times[i] = snap.t
         mass = eta_mass(snap.to_state(grid))
         terms = _F_terms(snapshot_density(output, snap.t), snap.t, params)
         for j, z in enumerate(zs):

@@ -157,8 +157,8 @@ class SpectralState:
 
     data[k + k_max, j] holds g_k(v_j).  Physical states satisfy the
     reality constraint g_{-k} = conj(g_k); it is not enforced on write
-    (diagnostic states legitimately break it) but can be measured with
-    reality_error() and is maintained by the evolution code.
+    (diagnostic states legitimately break it) but is maintained by the
+    evolution code.
     """
 
     grid: Grid
@@ -173,14 +173,6 @@ class SpectralState:
 
     def mode(self, k: int) -> np.ndarray:
         return self.data[self.grid.mode_index(k)]
-
-    def reality_error(self) -> float:
-        """Max |g_k - conj(g_{-k})| relative to the state magnitude."""
-        scale = np.max(np.abs(self.data))
-        if scale == 0.0:
-            return 0.0
-        flipped = np.conj(self.data[::-1])
-        return float(np.max(np.abs(self.data - flipped)) / scale)
 
     def boundary_floor(self) -> float:
         """Spectral floor: worst edge magnitude relative to the state max.

@@ -274,7 +274,7 @@ def _c8(cache):
     rep = echo_experiment(RunConfig(eq=zero(), grid=grid, dt=dt, t_final=14.0,
                                     modes=((1, 1e-3, 10.0), (1, 1e-3, 0.0)),
                                     trace_stride=1, profile=gaussian()))
-    secondary = rep.peak_for(2)
+    secondary = next((p for p in rep.peaks if p.mode == 2), None)
     return {"single_trace": mag, "t_peak": t_peak, "dt": dt,
             "secondary_measured": secondary.measured_time,
             "secondary_predicted": secondary.predicted_time,

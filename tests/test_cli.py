@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 import vpdamp
 from vpdamp import cli, norms
 from vpdamp.linear import cosine_initial_hat, source_from_initial, volterra_solve
+from vpdamp.nonlinear import Snapshot, closure_residual, run
 from vpdamp.norms import norm_profile
 from vpdamp.penrose import NoStableStripError, strip_width
 from vpdamp.spectral import Grid, required_nv
@@ -447,6 +449,74 @@ class TestNormsCommand:
         other = write_config(tmp_path, config_text(tmp_path / "o", T=2.0),
                              name="other.ini")
         assert cli.main(["norms", "--config", str(other)]) == 1
+
+
+class TestStreamedRun:
+    """nonlinear streams its snapshots to disk and norms reads them back one at a time."""
+
+    def test_matches_the_in_memory_run(self, tmp_path):
+        text = config_text(tmp_path / "o", T=0.3, stride=1, snapshot_stride=1,
+                           modes="1:0.0:1e-2, 2:0.5:1e-2")
+        path = write_config(tmp_path, text)
+        for command in ("nonlinear", "norms"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        cfg = cli.parse(path.read_text())
+        opts = cli._Options(out_dir=tmp_path / "o", seed=0, cfg_hash=cli.config_hash(cfg))
+        out = run(cfg.run_config(0, cfg.snapshot_stride))
+        rep = json.loads((tmp_path / "o" / "nonlinear.json").read_text())
+        assert rep["closure_residual"] == closure_residual(out)
+        files = sorted((tmp_path / "o").glob("snapshot_*.bin"))
+        assert len(files) == len(out.snapshots) == rep["n_snapshots"] == 31
+        for file, snap in zip(files, out.snapshots):
+            cli.write_snapshot(tmp_path / "ref.bin", opts.cfg_hash, out.grid, snap)
+            assert file.read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        stored = cli._load_run(cfg, opts)
+        from_files = norm_profile(stored, cfg.weights())
+        in_memory = norm_profile(out, cfg.weights())
+        np.testing.assert_array_equal(from_files.times, in_memory.times)
+        np.testing.assert_array_equal(from_files.G, in_memory.G)
+        np.testing.assert_array_equal(from_files.F, in_memory.F)
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        # dense nonlinear + norms: at the same grid, twice the steps may not raise the
+        # traced peak by a tenth (stored snapshots alone would add 72% here)
+        def peak(T):
+            text = config_text(tmp_path / f"o{T}", N_v=512, T=T, stride=1, snapshot_stride=1)
+            path = write_config(tmp_path, text, name=f"{T}.ini")
+            tracemalloc.start()
+            try:
+                for command in ("nonlinear", "norms"):
+                    assert cli.main([command, "--config", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.05)  # first calls fill one-off caches
+        short, long = peak(0.5), peak(1.0)
+        assert long < 1.1 * short, f"traced peak {short / 1e6:.3f} -> {long / 1e6:.3f} MB"
+
+    @pytest.mark.parametrize("damage, message", [
+        ("hash", "was written by a different config"),
+        ("grid", "does not match the config grid"),
+        ("short", r"expected \d+ bytes for a \(k_max=2, N_v=256\) snapshot, got \d+"),
+    ])
+    def test_norms_refuses_bad_snapshot_files_before_computing(self, tmp_path, monkeypatch,
+                                                               capsys, damage, message):
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=1.0, snapshot_stride=20))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        last = sorted((tmp_path / "o").glob("snapshot_*.bin"))[-1]
+        h, grid, snap = cli.read_snapshot(last)
+        if damage == "hash":
+            cli.write_snapshot(last, "ab" * 32, grid, snap)
+        elif damage == "grid":
+            cli.write_snapshot(last, h, Grid(k_max=2, V=8.0, N_v=128),
+                               Snapshot(snap.t, snap.data[:, ::2]))
+        else:
+            last.write_bytes(last.read_bytes()[:-8])
+        monkeypatch.setattr(cli, "norm_profile", lambda *args: pytest.fail("norm_profile ran"))
+        capsys.readouterr()
+        assert cli.main(["norms", "--config", str(path)]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
 
 class TestEchoCommand:

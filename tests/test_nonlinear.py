@@ -27,6 +27,19 @@ EQ = gaussian()
 GRID = Grid(k_max=4, V=8.0, N_v=256)
 
 
+def reality_error(state) -> float:
+    """Max |g_k - conj(g_{-k})| relative to the state magnitude."""
+    scale = np.max(np.abs(state.data))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(state.data - np.conj(state.data[::-1]))) / scale)
+
+
+def peak_for(rep, mode: int):
+    """The echo report's peak for mode, or None."""
+    return next((p for p in rep.peaks if p.mode == mode), None)
+
+
 @pytest.fixture(scope="module")
 def linearized_run():
     cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-3, t_final=5.0, modes=((1, 1e-3, 0.0),),
@@ -117,7 +130,7 @@ class TestStateSetup:
         assert np.allclose(st.data[g.mode_index(2)], want, atol=1e-18)
         assert np.allclose(st.data[g.mode_index(-2)], np.conj(want), atol=1e-18)
         assert np.all(st.data[g.mode_index(0)] == 0)
-        assert st.reality_error() == 0.0
+        assert reality_error(st) == 0.0
 
 
 class TestFreeTransport:
@@ -469,6 +482,55 @@ class TestClosure:
             closure_residual(run(cfg))
 
 
+class TestSnapshotSink:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_sink_takes_the_snapshots_and_the_run_keeps_none(self, stride):
+        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-2, 0.0),),
+                        snapshot_stride=stride)
+        taken = []
+        streamed, kept = run(cfg, taken.append), run(cfg)
+        assert streamed.snapshots == [] and len(taken) == len(kept.snapshots)
+        for a, b in zip(taken, kept.snapshots):
+            assert a.t == b.t and np.array_equal(a.data, b.data)
+        np.testing.assert_array_equal(streamed.final_state.data, kept.final_state.data)
+        assert kept.closure is None
+
+    def test_dense_closure_accumulated_in_the_step_loop(self):
+        # the same accumulator, fed by run or replayed from the snapshots: equal bits
+        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=1.0,
+                        modes=((1, 2e-2, 0.0), (2, 2e-2, 1.0)), snapshot_stride=1)
+        closure = run(cfg, lambda snap: None).closure
+        assert closure is not None and closure < 1e-6
+        assert closure == closure_residual(run(cfg))
+
+    @pytest.mark.parametrize("strides", [(2, 1), (1, 2), (1, 0)])
+    def test_no_closure_unless_every_step_is_stored(self, strides):
+        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-3, 0.0),),
+                        trace_stride=strides[0], snapshot_stride=strides[1])
+        assert run(cfg, lambda snap: None).closure is None
+
+
+class TestBoundaryGuard:
+    def test_run_refuses_a_state_that_reaches_the_edge(self):
+        # the gaussian data decays at |v| = V, but the two-stream slope carries the
+        # perturbation to the edge within a few steps; the run must not finish
+        cfg = RunConfig(eq=two_stream(6.0), grid=Grid(k_max=2, V=8.0, N_v=256), dt=1e-2,
+                        t_final=0.5, modes=((1, 1e-3, 0.0),), profile=gaussian())
+        assert initial_state(cfg.grid, gaussian(), cfg.modes).boundary_floor() < 1e-12
+        with pytest.raises(BoundaryDecayError,
+                           match=r"state at step \d+ \(t = [0-9.]+\) has boundary floor "
+                                 r".* at \|v\| = V .*enlarge V"):
+            run(cfg)
+
+    def test_floor_recorded_at_every_recorded_step(self):
+        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=1.0, modes=((1, 1e-2, 0.0),),
+                        trace_stride=4)
+        out = run(cfg)
+        floor = out.conservation["boundary_floor"]
+        assert floor.shape == out.times.shape and np.all(floor <= 1e-12)
+        assert floor[-1] == pytest.approx(out.final_state.boundary_floor(), rel=1e-12)
+
+
 ECHO_GRID = Grid(k_max=4, V=8.0, N_v=512)
 
 
@@ -483,7 +545,7 @@ def echo_config(e1=1e-3, e2=1e-3, eta1=10.0, dt=0.02, T=14.0, eta2=0.0, n=None):
 class TestEcho:
     def test_single_wave_burst_time(self):
         rep = echo_experiment(echo_config(e2=0.0, dt=0.01))
-        peak = rep.peak_for(1)
+        peak = peak_for(rep, 1)
         assert peak is not None
         assert peak.predicted_time == pytest.approx(10.0)
         assert abs(peak.measured_time - 10.0) <= 2 * 0.01
@@ -492,19 +554,19 @@ class TestEcho:
     def test_two_wave_secondary_matches_picard(self):
         rep = echo_experiment(echo_config())
         assert not rep.inconclusive
-        sec = rep.peak_for(2)
+        sec = peak_for(rep, 2)
         assert sec is not None
         assert sec.predicted_time is not None
         assert sec.relative_error < 0.05
         # the secondary burst is a genuine nonlinear product, far above
         # the noise floor yet far below the primary
-        prim = rep.peak_for(1)
+        prim = peak_for(rep, 1)
         assert rep.noise_floor < sec.amplitude < 1e-2 * prim.amplitude
 
     def test_harmonics_carry_no_prediction(self):
         rep = echo_experiment(echo_config())
         for k in (3, 4):
-            peak = rep.peak_for(k)
+            peak = peak_for(rep, k)
             if peak is not None:
                 assert peak.predicted_time is None
                 assert peak.relative_error is None
@@ -513,7 +575,7 @@ class TestEcho:
         rep = echo_experiment(echo_config(e1=0.0, e2=0.0, dt=0.1, T=12.0))
         assert rep.inconclusive
         assert rep.peaks == ()
-        assert rep.peak_for(1) is None
+        assert peak_for(rep, 1) is None
 
     def test_rejects_reactive_background(self):
         cfg = RunConfig(eq=gaussian(), grid=ECHO_GRID, dt=0.1, t_final=12.0,

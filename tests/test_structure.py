@@ -129,7 +129,7 @@ def _calls(attr):
 
 def test_one_mode_convolution_kernel():
     # The coupling sum over l is one Toeplitz matrix product in _Coupling.product,
-    # which the stepper's stage and the closure residual both call; no loop over l
+    # which the stepper's stage and the closure accumulator both call; no loop over l
     # is left (the Picard oracle's loop over the data modes is a different sum and
     # iterates no range).  The closure reads S0 from the phase rows it already
     # builds, not from a dense phase_sum.
@@ -137,7 +137,7 @@ def test_one_mode_convolution_kernel():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scoped(tree, _takes_l_over_range) == []
     assert _scoped(tree, _calls("matmul")) == ["_Coupling.product"]
-    assert set(_scoped(tree, _calls("product"))) == {"_Engine._stage", "closure_residual"}
+    assert set(_scoped(tree, _calls("product"))) == {"_Engine._stage", "_Closure.add"}
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     assert "phase_sum" not in imported
