@@ -49,8 +49,8 @@ t,k,re_rho,im_rho,abs_E, and `snapshot_NNNNNN.bin` the binary states
 t, then the row-major complex64 mode table), each written as the run
 takes it.  The closure residual is accumulated during the run and null
 unless every step is both traced and snapshotted.  `norms` checks every
-snapshot file's hash, grid and size first, then reads the stored run back
-as a nonlinear.RunRecord that reads one snapshot at a time.  `linear` also
+snapshot file's hash, grid, size and traced time first, then reads the run
+back as a nonlinear.RunRecord that reads one snapshot at a time.  `linear` also
 fits, per mode, the constant of the linear propagator bound in the density
 norm F (norms.check_propagator) at theta1 = penrose.strip_width; the fit is
 null without a stable strip, and null for a mode with fewer than two samples.
@@ -613,7 +613,7 @@ def _cmd_nonlinear(cfg: ExperimentConfig, opts: _Options) -> tuple:
         "conservation": {
             "mass_drift_max": float(np.max(cons["mass_drift"])),
             "l2_drift_max": float(np.max(cons["l2_drift"])),
-            "reality_drift_max": out.reality_drift_max,
+            "reality_drift_max": float(np.max(cons["reality_drift"])),
             "dealias_max": float(np.max(cons["dealias"])),
         },
         "closure_residual": out.closure,
@@ -648,17 +648,22 @@ def _load_run(cfg: ExperimentConfig, opts: _Options) -> RunRecord:
                          f"(hash {file_hash[:12]}.., expected {h[:12]}..)")
     grid = cfg.grid()
     paths = sorted(opts.out_dir.glob("snapshot_*.bin"))
+    traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
+    stored = RunRecord(grid=grid, times=times, traces=traces, snapshots=_SnapshotFiles(paths))
     for path in paths:
-        s_hash, s_grid, _ = _snapshot_header(path)
+        s_hash, s_grid, t = _snapshot_header(path)
         if s_hash != h:
             raise ValueError(f"{path} was written by a different config")
         if s_grid != grid:
             raise ValueError(f"{path} grid {s_grid} does not match the config grid {grid}")
+        try:
+            snapshot_density(stored, t)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; use a snapshot_stride that is a multiple of stride") from None
     if not paths:
         raise FileNotFoundError(f"no snapshot files in {opts.out_dir}; rerun the "
                                 "nonlinear subcommand with formats = csv,json,snapshots")
-    traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
-    return RunRecord(grid=grid, times=times, traces=traces, snapshots=_SnapshotFiles(paths))
+    return stored
 
 
 def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:

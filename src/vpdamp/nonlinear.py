@@ -26,9 +26,8 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .linear import DensityTrace, cosine_initial_hat, local_maxima
-from .spectral import (BOUNDARY_DECAY_TOL, BoundaryDecayError, Grid, SpectralState,
-                       check_resolution, phase_rows, record_steps, time_steps,
-                       trapezoid_convolve)
+from .spectral import (Grid, SpectralState, boundary_floors, check_resolution, phase_rows,
+                       record_steps, refuse_boundary, time_steps, trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
 PICARD_STEPS = 4000  # trapezoid steps of the second-iterate time integral
@@ -103,7 +102,6 @@ class RunOutput(RunRecord):
     initial_state: SpectralState
     final_state: SpectralState
     conservation: dict  # arrays t, mass_drift, l2, l2_drift, reality_drift, dealias, boundary_floor
-    reality_drift_max: float
     closure: Optional[float] = None  # closure_residual, accumulated when a dense run has a sink
 
 
@@ -225,7 +223,8 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
 
     Snapshots go to sink as they are taken (else to the output's list); a dense run
     with a sink also accumulates closure_residual into the output's closure.  Each
-    recorded step raises BoundaryDecayError on a boundary floor above tolerance.
+    recorded step's state goes through spectral.refuse_boundary; a non-finite one
+    between the first and the last is left to the next step's stability check.
     """
     g = config.grid
     K = g.k_max
@@ -259,21 +258,14 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
         reality[i] = drift
         emax = float(np.max(np.abs(rho_pos) / eng._ks))
         dealias[i] = emax * math.sqrt(eng.dv * float(np.sum(a2[0]) + np.sum(a2[-1])))
-        top = float(np.max(a2))
-        floor[i] = math.sqrt(float(np.max(a2[:, [0, -1]])) / top) if top else 0.0
-        # a state gone non-finite mid-run is left to the next step's stability check
-        if not floor[i] <= BOUNDARY_DECAY_TOL and (n == 0 or math.isfinite(floor[i])):
-            where = "initial state" if n == 0 else f"state at step {n} (t = {t:g})"
-            fix = "enlarge V" if math.isfinite(floor[i]) else "the state is not finite"
-            raise BoundaryDecayError(f"{where} has boundary floor {floor[i]:.3e} at |v| = V "
-                                     f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); {fix}")
+        floor[i] = np.max(boundary_floors(a2))
+        if n in (0, N) or math.isfinite(floor[i]):
+            refuse_boundary(floor[i], f"state at step {n} (t = {t:g})" if n else "initial state")
 
-    drift_max = pending_drift = 0.0
+    pending_drift = 0.0
     for n in range(N + 1):
         if n:
-            d = eng.rk4(data, (n - 1) * dt, dt)
-            drift_max = max(drift_max, d)
-            pending_drift = max(pending_drift, d)
+            pending_drift = max(pending_drift, eng.rk4(data, (n - 1) * dt, dt))
         if n in rec_set:
             record(n, pending_drift)
             pending_drift = 0.0
@@ -300,7 +292,7 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
     return RunOutput(
         grid=g, config=config, times=times_rec, traces=traces, snapshots=snapshots,
         initial_state=init, final_state=final, conservation=conservation,
-        reality_drift_max=drift_max, closure=closure.residual() if closure else None,
+        closure=closure.residual() if closure else None,
     )
 
 

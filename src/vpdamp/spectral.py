@@ -18,9 +18,11 @@ discrete Parseval identity
     dv * sum_j |g_k(v_j)|^2 = (2*pi)**-1 * deta * sum_m |g_{k,eta_m}|^2
 
 holds to rounding.  Truncating velocity space is only legitimate while the
-state has decayed at |v| = V; every transform here checks that and refuses
-to run on states that touch the boundary, since the error is otherwise
-silent aliasing.
+state has decayed at |v| = V, or the error is silent aliasing.  The one
+measure is `boundary_floors`: per mode sqrt(max edge |g_k|^2 / max |g|^2),
+against the max of the whole state (0 for a zero state, nan for a non-finite
+one).  The one refusal is `refuse_boundary`, which every eta-transform applies
+per mode and `nonlinear.run` to the initial, each recorded and the final state.
 
 Resolution rule: extracting the density at time t requires the phase
 e^{-i k t v} to be resolved on the v-grid, i.e. |k t| * dv < pi.  A run up
@@ -174,34 +176,28 @@ class SpectralState:
     def mode(self, k: int) -> np.ndarray:
         return self.data[self.grid.mode_index(k)]
 
-    def boundary_floor(self) -> float:
-        """Spectral floor: worst edge magnitude relative to the state max.
 
-        The discrete eta-representation is only trustworthy down to about
-        this level; report it alongside any eta-space diagnostic.
-        """
-        scale = np.max(np.abs(self.data))
-        if scale == 0.0:
-            return 0.0
-        edges = np.abs(self.data[:, [0, -1]])
-        return float(np.max(edges) / scale)
+def boundary_floors(a2: np.ndarray) -> np.ndarray:
+    """sqrt(max edge |g_k|^2 / max |g|^2) per row of squared magnitudes a2 (0 if all 0)."""
+    top = float(np.max(a2))
+    if not math.isfinite(top):
+        return np.full(len(a2), np.nan)
+    return np.sqrt(np.max(a2[:, [0, -1]], axis=1) / top) if top else np.zeros(len(a2))
+
+
+def refuse_boundary(floor: float, where: str) -> None:
+    """Raise BoundaryDecayError naming where unless floor <= BOUNDARY_DECAY_TOL."""
+    if not floor <= BOUNDARY_DECAY_TOL:  # a nan floor fails too
+        fix = "enlarge V" if math.isfinite(floor) else "the state is not finite"
+        raise BoundaryDecayError(f"{where} has boundary floor {floor:.3e} at |v| = V "
+                                 f"(tolerance {BOUNDARY_DECAY_TOL:.0e}); {fix}")
 
 
 def _check_boundary(state: SpectralState, k=None) -> None:
-    """Raise BoundaryDecayError unless mode k (every mode if None) has decayed at |v| = V."""
-    scale = float(np.max(np.abs(state.data)))
-    if not math.isfinite(scale):
-        raise BoundaryDecayError(f"state max |g| = {scale}; the state is not finite")
-    rows = slice(None) if k is None else [state.grid.mode_index(k)]
-    edges = np.max(np.abs(state.data[rows][:, [0, -1]]), axis=1)
-    bad = np.flatnonzero(edges > BOUNDARY_DECAY_TOL * scale)
-    if bad.size:
-        k, edge = int(state.grid.modes[rows][bad[0]]), edges[bad[0]]
-        raise BoundaryDecayError(
-            f"mode k={k} has |g_k| = {edge:.3e} at |v| = V "
-            f"(= {edge / scale:.3e} of the state max, tolerance {BOUNDARY_DECAY_TOL:.0e}); "
-            f"enlarge V"
-        )
+    """refuse_boundary on mode k (every mode if None)."""
+    floors = boundary_floors(np.abs(state.data) ** 2)
+    for i in range(state.grid.n_modes) if k is None else [state.grid.mode_index(k)]:
+        refuse_boundary(floors[i], f"mode k={i - state.grid.k_max}")
 
 
 def _alternating_signs(n: int) -> np.ndarray:

@@ -518,6 +518,21 @@ class TestStreamedRun:
         assert cli.main(["norms", "--config", str(path)]) == 1
         assert re.search(message, capsys.readouterr().err)
 
+    def test_norms_refuses_misaligned_strides_before_computing(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # snapshots every 5 steps, traces every 3: the snapshot at t = 0.05 has no trace
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=0.5, stride=3,
+                                                  snapshot_stride=5))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "norm_profile", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert cli.main(["norms", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "traces were not recorded at snapshot time t = 0.05" in err
+        assert "use a snapshot_stride that is a multiple of stride" in err
+        assert calls == []
+
 
 class TestEchoCommand:
     def test_two_wave_echo_report(self, tmp_path):

@@ -17,7 +17,7 @@ from vpdamp.nonlinear import (
     initial_state,
     run,
 )
-from vpdamp.spectral import BoundaryDecayError, Grid, phase_rows
+from vpdamp.spectral import BoundaryDecayError, Grid, boundary_floors, phase_rows
 
 # Dominant dispersion zero of two_stream(3) at k = 1 (damped on the unit
 # torus), frozen from the Newton root finder cross-checked by quadrature.
@@ -33,6 +33,11 @@ def reality_error(state) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(state.data - np.conj(state.data[::-1]))) / scale)
+
+
+def boundary_floor(state) -> float:
+    """The state's boundary floor: its largest per-mode floor."""
+    return float(np.max(boundary_floors(np.abs(state.data) ** 2)))
 
 
 def peak_for(rep, mode: int):
@@ -103,7 +108,7 @@ class TestConfig:
         # at V = 3 the Gaussian data keeps about 1e-2 of its peak at v = -V: the
         # solver would alias it silently, so run refuses before the first step
         cfg = self.base(grid=Grid(k_max=4, V=3.0, N_v=256))
-        floor = initial_state(cfg.grid, EQ, cfg.modes).boundary_floor()
+        floor = boundary_floor(initial_state(cfg.grid, EQ, cfg.modes))
         assert floor > 1e-2
         with pytest.raises(BoundaryDecayError, match=rf"floor {floor:.3e} .*enlarge V"):
             run(cfg)
@@ -119,6 +124,14 @@ class TestConfig:
         bad = dataclasses.replace(EQ, mu_prime=lambda v: np.full(np.shape(v), np.nan))
         with pytest.raises(StabilityError, match=r"at t = 0\.01; the field is not finite"):
             run(self.base(eq=bad))
+
+    def test_run_refuses_a_final_state_that_is_not_finite(self):
+        # finite data, NaN mu': a one-step run has no next stability check, so the
+        # final state's floor must fail on its own
+        bad = dataclasses.replace(EQ, mu_prime=lambda v: np.full(np.shape(v), np.nan))
+        with pytest.raises(BoundaryDecayError, match=r"state at step 1 \(t = 0\.01\) has "
+                                                     r"boundary floor nan .*not finite"):
+            run(self.base(eq=bad, t_final=1e-2))
 
 
 class TestStateSetup:
@@ -140,7 +153,7 @@ class TestFreeTransport:
                         quadratic_term=False, profile=EQ)
         out = run(cfg)
         assert np.array_equal(out.final_state.data, out.initial_state.data)
-        assert out.reality_drift_max == 0.0
+        assert max(out.conservation["reality_drift"]) == 0.0
 
     def test_density_trace_is_the_streaming_moment(self):
         cfg = RunConfig(eq=zero(), grid=GRID, dt=0.05, t_final=5.0, modes=((1, 1e-3, 0.0),),
@@ -357,17 +370,25 @@ class TestHalfModeStepper:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_reality_drift_stays_at_rounding(self, out):
-        assert out.reality_drift_max < 1e-12
+        assert max(out.conservation["reality_drift"]) < 1e-12
 
 
 class TestConservation:
     def test_mass_and_reality(self, nonlinear_pair):
         out = nonlinear_pair[1e-3]
         assert np.max(out.conservation["mass_drift"]) < 1e-10
-        assert out.reality_drift_max < 1e-12
+        assert max(out.conservation["reality_drift"]) < 1e-12
 
     def test_linearized_reality_is_exact(self, linearized_run):
-        assert linearized_run.reality_drift_max == 0.0
+        assert max(linearized_run.conservation["reality_drift"]) == 0.0
+
+    def test_drift_max_does_not_depend_on_the_trace_stride(self):
+        # each step's drift lands in exactly one recorded slot, the last step's included
+        drift = [max(run(RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=1.0,
+                                   modes=((1, 2e-2, 0.0), (2, 2e-2, 1.0)),
+                                   trace_stride=s)).conservation["reality_drift"])
+                 for s in (1, 3)]
+        assert drift[0] == drift[1] > 0.0
 
     def test_transport_skew_symmetry(self):
         # with the driving term off the quadratic bracket conserves the
@@ -516,7 +537,7 @@ class TestBoundaryGuard:
         # perturbation to the edge within a few steps; the run must not finish
         cfg = RunConfig(eq=two_stream(6.0), grid=Grid(k_max=2, V=8.0, N_v=256), dt=1e-2,
                         t_final=0.5, modes=((1, 1e-3, 0.0),), profile=gaussian())
-        assert initial_state(cfg.grid, gaussian(), cfg.modes).boundary_floor() < 1e-12
+        assert boundary_floor(initial_state(cfg.grid, gaussian(), cfg.modes)) < 1e-12
         with pytest.raises(BoundaryDecayError,
                            match=r"state at step \d+ \(t = [0-9.]+\) has boundary floor "
                                  r".* at \|v\| = V .*enlarge V"):
@@ -528,7 +549,7 @@ class TestBoundaryGuard:
         out = run(cfg)
         floor = out.conservation["boundary_floor"]
         assert floor.shape == out.times.shape and np.all(floor <= 1e-12)
-        assert floor[-1] == pytest.approx(out.final_state.boundary_floor(), rel=1e-12)
+        assert floor[-1] == pytest.approx(boundary_floor(out.final_state), rel=1e-12)
 
 
 ECHO_GRID = Grid(k_max=4, V=8.0, N_v=512)

@@ -6,6 +6,7 @@ from vpdamp.spectral import (
     Grid,
     ResolutionError,
     SpectralState,
+    boundary_floors,
     check_resolution,
     eta_derivative,
     eta_mass,
@@ -173,8 +174,28 @@ class TestState:
     def test_boundary_floor(self):
         g = Grid(k_max=1, V=6.0, N_v=64)
         st = decayed_state(g)
-        assert 0.0 < st.boundary_floor() < 1e-6
-        assert SpectralState(g, np.zeros((g.n_modes, g.N_v))).boundary_floor() == 0.0
+        assert 0.0 < np.max(boundary_floors(np.abs(st.data) ** 2)) < 1e-6
+        assert np.max(boundary_floors(np.zeros((g.n_modes, g.N_v)))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_boundary_floors_of_a_non_finite_state_are_nan(self, bad):
+        # an inf max would make every finite edge's ratio 0 and pass the state
+        a2 = np.abs(decayed_state(Grid(k_max=1, V=8.0, N_v=64)).data) ** 2
+        a2[2, 32] = bad
+        assert np.all(np.isnan(boundary_floors(a2)))
+
+    def test_boundary_floors_are_per_mode_against_the_state_max(self):
+        a2 = np.array([[4.0, 16.0, 1.0], [0.0, 1.0, 0.0], [1e-2, 2.0, 0.0]])
+        want = np.sqrt(np.array([4.0, 0.0, 1e-2]) / 16.0)
+        np.testing.assert_array_equal(boundary_floors(a2), want)
+
+    def test_one_refusal_message(self):
+        g = Grid(k_max=1, V=6.0, N_v=64)
+        st = SpectralState(g, np.zeros((g.n_modes, g.N_v)))
+        st.data[g.mode_index(-1), -1], st.data[g.mode_index(0), 10] = 1e-3, 1.0
+        with pytest.raises(BoundaryDecayError, match=r"^mode k=-1 has boundary floor 1\.000e-03 "
+                           r"at \|v\| = V \(tolerance 1e-12\); enlarge V$"):
+            eta_mass(st)
 
 
 class TestTrapezoidConvolve:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import re
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -158,25 +159,45 @@ def _used(tree, strings=False) -> set:
     return used
 
 
+def _attributes(tree) -> Counter:
+    """How often each attribute name is read or written in a tree."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def test_public_names_are_reached():
     # The public surface is what a command, the README's python or perfbench
     # reaches: a public top-level function or class must be used in its own
     # module outside its own def, imported by another module of the package,
     # named in a README python block, or named anywhere under perfbench/
-    # (the tracer's PATCHES name their attributes as strings).  Tests do not count.
+    # (the tracer's PATCHES name their attributes as strings).  A public method or
+    # property of a public class must be used as an attribute outside its own def
+    # in the package, as an attribute in a README python block, or be named
+    # anywhere under perfbench/.  Tests do not count.
     repo = Path(__file__).resolve().parent.parent
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    readme = [ast.parse(block) for block in
+              re.findall(r"```python\n(.*?)```", (repo / "README.md").read_text(), re.S)]
+    bench = set()
+    for path in sorted((repo / "perfbench").glob("*.py")):
+        bench |= _used(ast.parse(path.read_text(), filename=str(path)), strings=True)
     reached = {alias.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
-    for block in re.findall(r"```python\n(.*?)```", (repo / "README.md").read_text(), re.S):
-        reached |= _used(ast.parse(block))
-    for path in sorted((repo / "perfbench").glob("*.py")):
-        reached |= _used(ast.parse(path.read_text(), filename=str(path)), strings=True)
+    reached |= bench.union(*(_used(block) for block in readme))
     unreached = [
         f"{module}.{node.name}"
         for module, tree in trees.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and node.name not in reached
         and not any(node.name in _used(other) for other in tree.body if other is not node)
+    ]
+    in_src = sum((_attributes(tree) for tree in trees.values()), Counter())
+    outside = bench.union(*(_attributes(block) for block in readme))
+    unreached += [
+        f"{module}.{cls.name}.{fn.name}"
+        for module, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and fn.name not in outside and in_src[fn.name] == _attributes(fn)[fn.name]
     ]
     assert not unreached, f"public names only tests reach: {unreached}"
