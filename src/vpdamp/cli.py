@@ -2,58 +2,11 @@
 
 Configs are INI documents with six sections.  The keys are the rows of
 _KEYS and their defaults the ExperimentConfig field defaults; unknown
-sections or keys are rejected, and validation reports every violation
-at once rather than stopping at the first.  The [time]
-and N_v rules (T >= 0 a whole number of at most 1e7 steps dt; the
-resolution rule) are spectral.time_steps and spectral.check_resolution.
-
-    [equilibrium]
-    name = gaussian            # gaussian | two_stream | zero
-    params =                   # constructor arguments (two_stream: stream separation)
-
-    [grid]
-    k_max = 4
-    V = 8.0
-    N_v = 0                    # 0 = choose automatically from the resolution rule
-
-    [time]
-    dt = 1e-3
-    T = 10.0
-    stride = 1                 # trace recording stride, in steps
-    snapshot_stride = 0        # 0 = final snapshot only
-
-    [weights]
-    gamma = 1.0
-    sigma = 3.2
-    delta = 0.1
-    lambda0 = 0.05
-    lambda1 = 0.2
-
-    [initial-data]
-    modes = 1:0.0:1e-3         # comma-separated k:eta_offset:amplitude
-    profile = none             # data envelope: none (use equilibrium) | gaussian | zero
-    random_modes = 0           # > 0 draws that many modes from the --seed RNG
-    random_amplitude = 1e-3
-
-    [output]
-    directory = out
-    formats = csv,json         # any of csv, json, snapshots; the JSON
-                               # summary is always written
-
-Artifacts all land in the output directory and all carry the config
-hash (SHA-256 of the canonical config echo): `config.ini` is the echo
-itself, `<command>.json` the versioned summary (floats with 17
-significant digits), `traces.csv` the density traces with columns
-t,k,re_rho,im_rho,abs_E, and `snapshot_NNNNNN.bin` the binary states
-(64 ASCII hex hash, then little-endian header `<iidd` = k_max, N_v, V,
-t, then the row-major complex64 mode table), each written as the run
-takes it.  The closure residual is accumulated during the run and null
-unless every step is both traced and snapshotted.  `norms` checks every
-snapshot file's hash, grid, size and traced time first, then reads the run
-back as a nonlinear.RunRecord that reads one snapshot at a time.  `linear` also
-fits, per mode, the constant of the linear propagator bound in the density
-norm F (norms.check_propagator) at theta1 = penrose.strip_width; the fit is
-null without a stable strip, and null for a mode with fewer than two samples.
+sections or keys are rejected.  parse reads every key, then collects every
+violation at once from the rules' owners: Grid, spectral.time_steps,
+spectral.check_strides, spectral.check_resolution, nonlinear.check_modes,
+norms.WeightParams and the equilibrium constructors.  README.md shows the
+config block with every default and the artifacts each command writes.
 
 Exit codes: 0 success, 2 inconclusive diagnostics, 1 error.  Flags
 --config/--out/--seed; environment variables VPDAMP_CONFIG, VPDAMP_OUT,
@@ -82,14 +35,15 @@ import numpy as np
 from . import __version__
 from .equilibria import Equilibrium, gaussian, two_stream, zero
 from .linear import DensityTrace, cosine_initial_hat, fit_decay, source_from_initial, volterra_solve
-from .nonlinear import RunConfig, RunRecord, Snapshot, echo_experiment, run
+from .nonlinear import RunConfig, RunRecord, Snapshot, check_modes, echo_experiment, run
 from .nonlinear import closure_residual  # noqa: F401  (perfbench's tracer wraps it here)
 from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
                     check_propagator, eta_tail_fraction, fit_FG1, norm_profile, radius,
                     snapshot_density)
 from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
 from .penrose import NoStableStripError, full_report, strip_width
-from .spectral import Grid, check_resolution, record_steps, required_nv, time_steps
+from .spectral import (Grid, check_resolution, check_strides, record_steps, required_nv,
+                       time_steps)
 
 FORMAT_VERSION = 1
 ENV_PREFIX = "VPDAMP_"
@@ -219,13 +173,9 @@ def _modes(text):
             problems.append(f"entry '{part}' is not k:eta_offset:amplitude")
             continue
         try:
-            k, off, amp = int(nums[0]), float(nums[1]), float(nums[2])
+            modes.append((int(nums[0]), float(nums[1]), float(nums[2])))
         except ValueError:
             problems.append(f"entry '{part}' has non-numeric fields")
-            continue
-        if not (math.isfinite(off) and math.isfinite(amp)):
-            problems.append(f"entry '{part}' must be finite")
-        modes.append((k, off, amp))
     if problems:
         raise _Partial(problems, tuple(modes))
     return tuple(modes)
@@ -311,44 +261,36 @@ def parse(text: str) -> ExperimentConfig:
             if isinstance(exc, _Partial):
                 v[field] = exc.value
 
-    def check(sec, rule, *args):
+    def check(where, rule, *args) -> bool:
+        """Whether the owner's rule passes; each part of its refusal is a violation."""
         try:
             rule(*args)
         except ValueError as exc:
-            bad.extend(f"[{sec}] {part}" for part in str(exc).split("; "))
+            bad.extend(f"{where} {part}" for part in str(exc).split("; "))
+            return False
+        return True
 
     name = v.get("eq_name")
-    if name in _EQUILIBRIA and len(v["eq_params"]) != _EQUILIBRIA[name][1]:
-        bad.append(f"[equilibrium] params: {name} takes exactly {_EQUILIBRIA[name][1]} "
-                   f"parameter(s), got {len(v['eq_params'])}")
-    elif name in _EQUILIBRIA:
-        try:
-            _EQUILIBRIA[name][0](*v["eq_params"])
-        except ValueError as exc:
-            bad.append(f"[equilibrium] params: {exc}")
+    if name in _EQUILIBRIA:
+        build, arity = _EQUILIBRIA[name]
+        if len(v["eq_params"]) != arity:
+            bad.append(f"[equilibrium] params: {name} takes exactly {arity} "
+                       f"parameter(s), got {len(v['eq_params'])}")
+        else:
+            check("[equilibrium] params:", build, *v["eq_params"])
 
-    k_max, V, T, N_v = v["k_max"], v["V"], v["t_final"], v["N_v"]
-    if k_max < 1:
-        bad.append(f"[grid] k_max: need k_max >= 1, got {k_max}")
-    if not (V > 0 and math.isfinite(V)):
-        bad.append(f"[grid] V: need V > 0 and finite, got {V}")
-    check("time", time_steps, v["dt"], T)
-    if v["trace_stride"] < 1:
-        bad.append(f"[time] stride: need stride >= 1, got {v['trace_stride']}")
-    if v["snapshot_stride"] < 0:
-        bad.append(f"[time] snapshot_stride: need snapshot_stride >= 0, "
-                   f"got {v['snapshot_stride']}")
+    # N_v = 0 asks for _auto_nv, which needs a valid grid and time grid; until
+    # then Grid judges k_max and V with a valid stand-in N_v
+    k_max, V, T = v["k_max"], v["V"], v["t_final"]
+    grid_ok = check("[grid]", Grid, k_max, V, v["N_v"] or 2)
+    time_ok = check("[time]", time_steps, v["dt"], T)
+    check("[time]", check_strides, v["trace_stride"], v["snapshot_stride"])
+    if grid_ok and time_ok:
+        v["N_v"] = v["N_v"] or _auto_nv(V, k_max, T)
+        check("[grid]", check_resolution, V, k_max, v["N_v"], T)
 
-    grid_ok = k_max >= 1 and V > 0 and math.isfinite(V) and T >= 0 and math.isfinite(T)
-    if N_v == 0 and grid_ok:
-        v["N_v"] = N_v = _auto_nv(V, k_max, T)
-    if N_v < 2 or N_v % 2 != 0:
-        if N_v != 0 or grid_ok:  # auto N_v left unresolved is not the user's fault
-            bad.append(f"[grid] N_v: need N_v even and >= 2, got {N_v}")
-    elif grid_ok:
-        check("grid", check_resolution, V, k_max, N_v, T)
-
-    check("weights", WeightParams, v["gamma"], v["sigma"], v["delta"], v["lambda0"], v["lambda1"])
+    check("[weights]", WeightParams, v["gamma"], v["sigma"], v["delta"], v["lambda0"],
+          v["lambda1"])
 
     if v["random_modes"] < 0:
         bad.append(f"[initial-data] random_modes: need random_modes >= 0, "
@@ -361,9 +303,9 @@ def parse(text: str) -> ExperimentConfig:
             v["modes"] = ()
         elif v["modes"]:
             bad.append("[initial-data] choose explicit modes or random_modes, not both")
-    for k, _, _ in v["modes"]:
-        if k_max >= 1 and not (1 <= k <= k_max):
-            bad.append(f"[initial-data] modes: need 1 <= k <= k_max = {k_max}, got k = {k}")
+    if grid_ok:  # the mode range is judged against a valid k_max
+        check("[initial-data]", check_modes, [(k, amp, off) for k, off, amp in v["modes"]],
+              k_max)
 
     if bad:
         raise ConfigError(bad)

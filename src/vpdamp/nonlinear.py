@@ -26,8 +26,9 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .linear import DensityTrace, cosine_initial_hat, local_maxima
-from .spectral import (Grid, SpectralState, boundary_floors, check_resolution, phase_rows,
-                       record_steps, refuse_boundary, time_steps, trapezoid_convolve)
+from .spectral import (Grid, SpectralState, boundary_floors, check_resolution, check_strides,
+                       phase_rows, record_steps, refuse_boundary, require, same_time,
+                       time_steps, trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
 PICARD_STEPS = 4000  # trapezoid steps of the second-iterate time integral
@@ -39,6 +40,18 @@ class StabilityError(RuntimeError):
 
 class MissingSnapshotsError(RuntimeError):
     pass
+
+
+def check_modes(modes, k_max: int) -> None:
+    """require every (k, amplitude, eta_offset) to have k an integer in 1..k_max and a
+    finite amplitude and offset."""
+    rules = []
+    for k, amp, off in modes:
+        rules += [(float(k).is_integer() and 1 <= k <= k_max,
+                   f"modes: need an integer 1 <= k <= k_max = {k_max}, got k = {k}"),
+                  (np.isfinite(amp) and np.isfinite(off), f"modes: need a finite amplitude "
+                   f"and offset, got amplitude {amp} and offset {off} at k = {k}")]
+    require(*rules)
 
 
 @dataclass(frozen=True)
@@ -58,14 +71,8 @@ class RunConfig:
     def __post_init__(self):
         time_steps(self.dt, self.t_final)
         check_resolution(self.grid.V, self.grid.k_max, self.grid.N_v, self.t_final)
-        for km, amp, off in self.modes:
-            if not (float(km).is_integer() and 1 <= km <= self.grid.k_max):
-                raise ValueError(
-                    f"initial mode k = {km} must be an integer in 1..{self.grid.k_max}")
-            if not np.isfinite(amp) or not np.isfinite(off):
-                raise ValueError("mode amplitudes and offsets must be finite")
-        if self.trace_stride < 1 or self.snapshot_stride < 0:
-            raise ValueError("trace_stride >= 1 and snapshot_stride >= 0 required")
+        check_modes(self.modes, self.grid.k_max)
+        check_strides(self.trace_stride, self.snapshot_stride)
 
     @property
     def n_steps(self) -> int:
@@ -358,9 +365,7 @@ def closure_residual(output: RunOutput) -> float:
     N = cfg.n_steps
     dt = cfg.dt
     snaps = output.snapshots
-    if len(snaps) != N + 1 or any(
-        abs(s.t - n * dt) > 1e-12 * max(1.0, n * dt) for n, s in enumerate(snaps)
-    ):
+    if len(snaps) != N + 1 or not all(same_time(s.t, n * dt) for n, s in enumerate(snaps)):
         raise MissingSnapshotsError(
             "closure residual needs dense snapshots; rerun with snapshot_stride=1"
         )

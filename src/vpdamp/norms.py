@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 # to_eta and eta_derivative stay bound here for perfbench's tracer; the norms use eta_mass.
-from .spectral import SpectralState, eta_derivative, eta_mass, to_eta  # noqa: F401
+from .spectral import (SpectralState, eta_derivative, eta_mass, require,  # noqa: F401
+                       same_time, to_eta)
 
 # Below this, a fitted-ratio denominator is treated as exactly zero.
 RATIO_FLOOR = 1e-300
@@ -49,30 +50,17 @@ class WeightParams:
     def __post_init__(self):
         values = {"gamma": self.gamma, "sigma": self.sigma, "delta": self.delta,
                   "lambda0": self.lam0, "lambda1": self.lam1}
-        problems = [f"need a finite {name}, got {name} = {x}"
-                    for name, x in values.items() if not math.isfinite(x)]
-        if problems:
-            raise ValueError("; ".join(problems))
-        if not 1.0 / 3.0 < self.gamma <= 1.0:
-            problems.append(f"need 1/3 < gamma <= 1, got gamma = {self.gamma}")
-        if not 3.0 * self.gamma > 1.0 + 2.0 * self.delta:
-            problems.append(
-                f"need 3*gamma > 1 + 2*delta, got 3*{self.gamma} <= 1 + 2*{self.delta}"
-            )
-        if self.delta <= 0.0:
-            problems.append(f"need delta > 0, got delta = {self.delta}")
-        if not self.sigma > 3.0 + self.delta:
-            problems.append(
-                f"need sigma > 3 + delta, got sigma = {self.sigma} <= {3.0 + self.delta}"
-            )
-        if not self.lam0 > 0.0:
-            problems.append(f"need lambda0 > 0, got lambda0 = {self.lam0}")
-        if not self.lam0 <= self.lam1 / 4.0:
-            problems.append(
-                f"need lambda0 <= lambda1/4, got {self.lam0} > {self.lam1 / 4.0}"
-            )
-        if problems:
-            raise ValueError("; ".join(problems))
+        require(*((math.isfinite(x), f"need a finite {name}, got {name} = {x}")
+                  for name, x in values.items()))
+        require((1.0 / 3.0 < self.gamma <= 1.0, f"need 1/3 < gamma <= 1, got gamma = {self.gamma}"),
+                (3.0 * self.gamma > 1.0 + 2.0 * self.delta,
+                 f"need 3*gamma > 1 + 2*delta, got 3*{self.gamma} <= 1 + 2*{self.delta}"),
+                (self.delta > 0.0, f"need delta > 0, got delta = {self.delta}"),
+                (self.sigma > 3.0 + self.delta,
+                 f"need sigma > 3 + delta, got sigma = {self.sigma} <= {3.0 + self.delta}"),
+                (self.lam0 > 0.0, f"need lambda0 > 0, got lambda0 = {self.lam0}"),
+                (self.lam0 <= self.lam1 / 4.0,
+                 f"need lambda0 <= lambda1/4, got {self.lam0} > {self.lam1 / 4.0}"))
 
     @property
     def z_grid(self) -> np.ndarray:
@@ -196,7 +184,7 @@ def snapshot_density(output, t: float):
     times = output.times
     i = int(np.searchsorted(times, t))
     for j in (i, i - 1, i + 1):
-        if 0 <= j < times.size and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)):
+        if 0 <= j < times.size and same_time(times[j], t):
             return {k: tr.values[j] for k, tr in output.traces.items()}
     raise ValueError(f"traces were not recorded at snapshot time t = {t:g}")
 

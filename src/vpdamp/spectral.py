@@ -30,8 +30,11 @@ to time T with modes |k| <= k_max therefore needs
 
     N_v >= (2 V / pi) * k_max * T,
 
-which `check_resolution` enforces; `time_steps` and `record_steps` own the
-time grid of every run and the steps a trace samples.
+which `check_resolution` enforces.  Each input rule has one owner that
+raises it: `Grid` the grid (k_max >= 1, 0 < V < inf, N_v even and >= 2),
+`time_steps` the time grid of every run, `check_strides` the recording
+strides, whose steps `record_steps` lists, and `same_time` whether a time
+is a recorded one.
 """
 
 from __future__ import annotations
@@ -70,23 +73,39 @@ def check_resolution(V: float, k_max: int, N_v: int, T: float) -> None:
                               f"density phases up to T = {T:g}, got {N_v}")
 
 
+def require(*rules) -> None:
+    """Raise one ValueError naming every failed (holds, message) rule, joined by "; ",
+    the separator cli.parse splits a refusal into violations at."""
+    problems = [message for holds, message in rules if not holds]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def time_steps(dt: float, T: float) -> int:
     """Number of steps dt from 0 to T: dt > 0 and T >= 0 finite, T/dt within 1e-9
     (relative) of an integer, at most MAX_STEPS; the ValueError names every
     failed condition, joined by "; "."""
-    problems = []
-    if not (dt > 0 and math.isfinite(dt)):
-        problems.append(f"dt: need a positive, finite dt, got {dt}")
-    if not (T >= 0 and math.isfinite(T)):
-        problems.append(f"T: need a finite T >= 0, got {T}")
-    if problems:
-        raise ValueError("; ".join(problems))
+    require((dt > 0 and math.isfinite(dt), f"dt: need a positive, finite dt, got {dt}"),
+            (T >= 0 and math.isfinite(T), f"T: need a finite T >= 0, got {T}"))
     n = T / dt
     if not n <= MAX_STEPS:  # also an overflowed T/dt = inf
         raise ValueError(f"T: T/dt = {n:.6g} exceeds the step limit of 1e7 steps")
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"T: need T an integer multiple of dt, got T/dt = {n!r}")
     return round(n)
+
+
+def check_strides(stride: int, snapshot_stride: int) -> None:
+    """require stride >= 1 and snapshot_stride >= 0 (0: the final state only)."""
+    require((stride >= 1, f"stride: need stride >= 1, got {stride}"),
+            (snapshot_stride >= 0,
+             f"snapshot_stride: need snapshot_stride >= 0, got {snapshot_stride}"))
+
+
+def same_time(a: float, b: float) -> bool:
+    """Whether a and b are one recorded time: within 1e-9 relative, the tolerance
+    time_steps gives T/dt.  Recorded times are n*dt on every side, so they match exactly."""
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def record_steps(n_steps: int, stride: int) -> list:
@@ -114,12 +133,10 @@ class Grid:
     N_v: int
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if not 0 < self.V < math.inf:
-            raise ValueError(f"V must be positive and finite, got {self.V}")
-        if self.N_v < 2 or self.N_v % 2 != 0:
-            raise ValueError(f"N_v must be even and >= 2, got {self.N_v}")
+        require((self.k_max >= 1, f"k_max: need k_max >= 1, got {self.k_max}"),
+                (0 < self.V < math.inf, f"V: need V > 0 and finite, got {self.V}"),
+                (self.N_v >= 2 and self.N_v % 2 == 0,
+                 f"N_v: need N_v even and >= 2, got {self.N_v}"))
 
     @property
     def dv(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import vpdamp
-from vpdamp import cli, norms
+from vpdamp import cli, nonlinear, norms, spectral
 from vpdamp.linear import cosine_initial_hat, source_from_initial, volterra_solve
 from vpdamp.nonlinear import Snapshot, closure_residual, run
 from vpdamp.norms import norm_profile
@@ -193,6 +193,34 @@ x = 1
         assert err.value.violations[0].startswith("[grid] k_max")
         assert [line.split(",")[0] for line in err.value.violations[1:]] == [
             f"[weights] need a finite {name}" for name in refused]
+
+    @pytest.mark.parametrize("section,text,owner", [
+        ("grid", "k_max = 0", lambda: Grid(k_max=0, V=8.0, N_v=256)),
+        ("grid", "V = nan", lambda: Grid(k_max=4, V=math.nan, N_v=256)),
+        ("grid", "N_v = 5", lambda: Grid(k_max=4, V=8.0, N_v=5)),
+        ("time", "stride = 0", lambda: spectral.check_strides(0, 0)),
+        ("time", "snapshot_stride = -1", lambda: spectral.check_strides(1, -1)),
+        ("initial-data", "modes = 9:0.0:1e-3",
+         lambda: nonlinear.check_modes([(9, 1e-3, 0.0)], 4)),
+        ("initial-data", "modes = 1:0.0:inf",
+         lambda: nonlinear.check_modes([(1, math.inf, 0.0)], 4)),
+    ], ids=["k_max", "V", "N_v", "stride", "snapshot_stride", "mode-k", "mode-amplitude"])
+    def test_violation_is_the_owners_message(self, section, text, owner):
+        # parse restates no grid, stride or mode rule: it reports the owner's words
+        with pytest.raises(ValueError) as exc:
+            owner()
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse(MINIMAL + f"[{section}]\n{text}\n")
+        assert err.value.violations == (f"[{section}] {exc.value}",)
+
+    def test_grid_names_every_failure(self):
+        with pytest.raises(ValueError) as exc:
+            Grid(k_max=0, V=math.nan, N_v=5)
+        parts = str(exc.value).split("; ")
+        assert [part.split(":")[0] for part in parts] == ["k_max", "V", "N_v"]
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse(MINIMAL + "[grid]\nk_max = 0\nV = nan\nN_v = 5\n")
+        assert err.value.violations == tuple(f"[grid] {part}" for part in parts)
 
 
 class TestEchoRoundTrip:

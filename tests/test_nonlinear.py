@@ -11,12 +11,14 @@ from vpdamp.linear import cosine_initial_hat, fit_decay, source_from_initial, vo
 from vpdamp.nonlinear import (
     MissingSnapshotsError,
     RunConfig,
+    Snapshot,
     StabilityError,
     closure_residual,
     echo_experiment,
     initial_state,
     run,
 )
+from vpdamp.norms import snapshot_density
 from vpdamp.spectral import BoundaryDecayError, Grid, boundary_floors, phase_rows
 
 # Dominant dispersion zero of two_stream(3) at k = 1 (damped on the unit
@@ -83,10 +85,10 @@ class TestConfig:
         pytest.param(dict(t_final=0.105), "integer multiple", id="kw2-integer_multiple"),
         pytest.param(dict(dt=1e-9, t_final=100.0), "1e7 steps", id="kw3-1e7_steps"),
         (dict(t_final=200.0), "N_v"),
-        (dict(modes=((0, 1e-3, 0.0),)), "1..4"),
-        (dict(modes=((5, 1e-3, 0.0),)), "1..4"),
+        pytest.param(dict(modes=((0, 1e-3, 0.0),)), "1 <= k <= k_max = 4", id="kw5-1..4"),
+        pytest.param(dict(modes=((5, 1e-3, 0.0),)), "1 <= k <= k_max = 4", id="kw6-1..4"),
         (dict(modes=((1, np.inf, 0.0),)), "finite"),
-        (dict(trace_stride=0), "trace_stride"),
+        pytest.param(dict(trace_stride=0), "stride: need stride >= 1", id="kw8-trace_stride"),
         (dict(snapshot_stride=-1), "snapshot_stride"),
         (dict(modes=((1.5, 1e-3, 0.0),)), "integer"),
         (dict(modes=((np.inf, 1e-3, 0.0),)), "integer"),
@@ -501,6 +503,27 @@ class TestClosure:
                         snapshot_stride=stride)
         with pytest.raises(MissingSnapshotsError, match="dense snapshots"):
             closure_residual(run(cfg))
+
+    @pytest.mark.parametrize("rel", [1e-10, 1e-8])
+    def test_one_recorded_time_rule(self, rel):
+        # the replay and the norms' density lookup judge a snapshot time by one rule:
+        # 1e-10 relative is the recorded time, 1e-8 relative is not
+        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=2.0, modes=((1, 1e-3, 0.0),),
+                        snapshot_stride=1)
+        out = run(cfg)
+        snap = out.snapshots[150]
+        out.snapshots[150] = moved = Snapshot(snap.t * (1.0 + rel), snap.data)
+
+        def accepts(read) -> bool:
+            try:
+                read()
+            except (ValueError, MissingSnapshotsError):
+                return False
+            return True
+
+        verdicts = (accepts(lambda: closure_residual(out)),
+                    accepts(lambda: snapshot_density(out, moved.t)))
+        assert verdicts == (rel < 1e-9,) * 2
 
 
 class TestSnapshotSink:

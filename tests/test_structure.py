@@ -3,7 +3,6 @@
 import ast
 import importlib
 import re
-import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -73,14 +72,38 @@ def _parse_documented(block: str):
 
 
 def test_documented_config_blocks_are_the_defaults():
-    # README's ini block and the cli docstring's block show every default
+    # README's ini block, the one copy of the config documentation, shows every default
     defaults = cli.parse("[equilibrium]\nname = gaussian\n")
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert _parse_documented(readme.split("```ini\n", 1)[1].split("```", 1)[0]) == defaults
-    lines = cli.__doc__.splitlines()
-    start = lines.index("    [equilibrium]")
-    end = next(i for i in range(start, len(lines)) if lines[i] and not lines[i].startswith(" "))
-    assert _parse_documented(textwrap.dedent("\n".join(lines[start:end]))) == defaults
+
+
+# ExperimentConfig fields whose rules Grid, spectral.check_strides and nonlinear.check_modes own
+_OWNED = {"k_max", "V", "N_v", "trace_stride", "snapshot_stride", "k"}
+
+
+def _mentions_owned(node) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in _OWNED:
+            return True
+        if isinstance(sub, ast.Constant) and sub.value in _OWNED:  # v["k_max"]
+            return True
+    return False
+
+
+def test_parse_restates_no_owned_rule():
+    # cli.parse collects the grid, stride and mode violations from their owners
+    # through its check helper; a comparison or finiteness test of its own on
+    # one of those values would be a second copy of the rule.
+    path = Path(vpdamp.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parse = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "parse")
+    found = [f"line {node.lineno}" for node in ast.walk(parse)
+             if (isinstance(node, ast.Compare)
+                 or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "isfinite")
+             and _mentions_owned(node)]
+    assert not found, f"cli.parse restates a grid, stride or mode rule: {found}"
 
 
 def test_traced_bindings_resolve():
