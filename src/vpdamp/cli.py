@@ -279,13 +279,13 @@ def parse(text: str) -> ExperimentConfig:
         else:
             check("[equilibrium] params:", build, *v["eq_params"])
 
-    # N_v = 0 asks for _auto_nv, which needs a valid grid and time grid; until
-    # then Grid judges k_max and V with a valid stand-in N_v
+    # N_v = 0 asks for _auto_nv, which needs a valid grid and time grid and a finite
+    # requirement; until then Grid judges k_max and V with a valid stand-in N_v
     k_max, V, T = v["k_max"], v["V"], v["t_final"]
     grid_ok = check("[grid]", Grid, k_max, V, v["N_v"] or 2)
     time_ok = check("[time]", time_steps, v["dt"], T)
     check("[time]", check_strides, v["trace_stride"], v["snapshot_stride"])
-    if grid_ok and time_ok:
+    if grid_ok and time_ok and check("[grid]", required_nv, V, k_max, T):
         v["N_v"] = v["N_v"] or _auto_nv(V, k_max, T)
         check("[grid]", check_resolution, V, k_max, v["N_v"], T)
 
@@ -611,7 +611,23 @@ def _load_run(cfg: ExperimentConfig, opts: _Options) -> RunRecord:
 def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
     stored = _load_run(cfg, opts)
     params = cfg.weights()
-    profile = norm_profile(stored, params)
+    n = len(stored.snapshots)
+    pick = set(np.linspace(0, n - 1, min(n, 16)).astype(int).tolist())
+    sqrt_rows = []
+    final = None
+
+    def sample(i, mass) -> None:  # the profile's folded mass, one snapshot at a time
+        nonlocal final
+        if i in pick:
+            lam = float(radius(mass.t, params))
+            zs = (0.0, lam / 2.0, lam)
+            rho = snapshot_density(stored, mass.t)
+            for z, m in zip(zs, check_F_le_sqrtG(mass, rho, zs, params)):
+                sqrt_rows.append({"t": mass.t, "z": z, "margin": m.margin, "ok": m.ok})
+        if i == n - 1:
+            final = mass
+
+    profile = norm_profile(stored, params, sample)
     if "csv" in cfg.formats:
         with open(opts.out_dir / "norm_profile.csv", "w", newline="\n") as fh:
             fh.write(f"# config-hash: {opts.cfg_hash}\n")
@@ -623,22 +639,9 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
 
     fg1 = fit_FG1(profile)
     contraction = check_contraction(stored, params, C0=fg1.C0)
-    grid = stored.grid
-    pick = np.unique(np.linspace(0, len(stored.snapshots) - 1,
-                                 min(len(stored.snapshots), 16)).astype(int))
-    sqrt_rows = []
-    for i in pick:
-        snap = stored.snapshots[i]
-        state = snap.to_state(grid)
-        rho = snapshot_density(stored, snap.t)
-        lam = float(radius(snap.t, params))
-        zs = (0.0, lam / 2.0, lam)
-        for z, m in zip(zs, check_F_le_sqrtG(state, rho, zs, params)):
-            sqrt_rows.append({"t": snap.t, "z": z, "margin": m.margin, "ok": m.ok})
-    final_state = stored.snapshots[-1].to_state(grid)
-    mult = check_multiplier(final_state, cfg.lambda0, params)
+    mult = check_multiplier(final, cfg.lambda0, params)
     return 0, {
-        "n_snapshots": len(stored.snapshots),
+        "n_snapshots": n,
         "FG1": {"C0": fg1.C0, "max_violation": fg1.max_violation,
                 "at_t": fg1.at[0], "at_z": fg1.at[1], "n_samples": fg1.n_samples},
         "contraction": {"C0": fg1.C0, "all_satisfied": bool(contraction.satisfied.all()),
@@ -647,7 +650,7 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
         "sqrt_domination_ok": all(r["ok"] for r in sqrt_rows),
         "multiplier": {"x_margin": mult.x_margin, "v_margin": mult.v_margin,
                        "h": mult.h, "ok": mult.ok},
-        "eta_tail_fraction_final": eta_tail_fraction(final_state, cfg.lambda0, params),
+        "eta_tail_fraction_final": eta_tail_fraction(final, cfg.lambda0, params),
     }
 
 

@@ -14,20 +14,24 @@ coupling G and F, the pointwise domination F <= sqrt(G), the shrinking-radius
 contraction condition, the Fourier-multiplier comparison against d_z G, and
 the propagator bound satisfied by linear density traces.  Inequalities whose
 constants the theory leaves unquantified are handled by fitting the smallest
-admissible constant, never by asserting a magic number.  Each snapshot's
-eta-mass is built once (spectral.eta_mass) and each weight once per (|k|, |eta|);
-fit_FG1 fits the G-F inequality from a NormProfile already tabulated.
+admissible constant, never by asserting a magic number.
+
+Every G is one weighted sum, _G_radii, of a FoldedMass: a state's eta-mass
+(spectral.eta_mass) folded onto (|k|, |eta|), the weights' only arguments.
+Radii z + j dz take cumulative products with e^{2 dz <k,eta>^gamma} >= 1, so
+profile rows are exactly nondecreasing in z; the folded sums agree with the
+per-mode quadrature to 1e-13 relative.  The checks accept the FoldedMass
+norm_profile hands on, and fit_FG1 reads a NormProfile already tabulated.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 # to_eta and eta_derivative stay bound here for perfbench's tracer; the norms use eta_mass.
-from .spectral import (SpectralState, eta_derivative, eta_mass, require,  # noqa: F401
-                       same_time, to_eta)
+from .spectral import eta_derivative, eta_mass, require, same_time, to_eta  # noqa: F401
 
 # Below this, a fitted-ratio denominator is treated as exactly zero.
 RATIO_FLOOR = 1e-300
@@ -75,46 +79,75 @@ def bracket(k, eta) -> np.ndarray:
     return np.sqrt(1.0 + k * k + eta * eta)
 
 
-def _weight_tables(grid, params: WeightParams, z_max: float):
+def _weight_tables(grid, params: WeightParams):
     """b**gamma and b**(2 sigma) of the bracket b = <k,eta>, folded onto k = 0..k_max and
-    eta = m deta, m = 0..N_v/2 (the weights depend on |k| and |eta| only).  Refuses a
-    z_max whose largest weight exponent, at the table's corner, would overflow."""
+    eta = m deta, m = 0..N_v/2 (the weights depend on |k| and |eta| only)."""
     b = bracket(np.arange(grid.k_max + 1.0)[:, None], grid.deta * np.arange(grid.N_v // 2 + 1))
-    bg, bs = b**params.gamma, b ** (2.0 * params.sigma)
-    top = 2.0 * z_max * float(bg[-1, -1]) + math.log(bs[-1, -1])
+    return b**params.gamma, b ** (2.0 * params.sigma)
+
+
+@dataclass(frozen=True)
+class FoldedMass:
+    """A state's eta-mass times <k,eta>^{2 sigma}, its entries at +-k and +-eta summed onto the
+    weight tables' layout (eta = -N_v/2 deta has no mirror); bg is <k,eta>^gamma there."""
+
+    t: float
+    params: WeightParams
+    deta: float
+    bg: np.ndarray
+    values: np.ndarray
+
+
+def _folded(state, params: WeightParams, tables=None) -> FoldedMass:
+    """The FoldedMass of a SpectralState (one eta_mass), or state itself if it is one."""
+    if isinstance(state, FoldedMass):
+        require((state.params == params, "need the weight params the mass was folded with"))
+        return state
+    grid, (bg, bs) = state.grid, tables or _weight_tables(state.grid, params)
+    mass, K, h = eta_mass(state), grid.k_max, grid.N_v // 2
+    values = np.zeros_like(bg)
+    values[:, :h] = mass[K:, h:]
+    values[1:, :h] += mass[K - 1::-1, h:]
+    values[:, 1:] += mass[K:, h - 1::-1]
+    values[1:, 1:] += mass[K - 1::-1, h - 1::-1]
+    values *= bs
+    return FoldedMass(t=state.t, params=params, deta=grid.deta, bg=bg, values=values)
+
+
+def _G_radii(mass: FoldedMass, z: float, dz: float = 0.0, n: int = 1, step=None) -> np.ndarray:
+    """G = deta sum e^{2 z b^gamma} mass.values at the radii z + j dz, j < n: one exponential
+    table for z (none at z = 0), then cumulative products with step = e^{2 dz b^gamma} (given
+    when n > 1), each factor >= 1.  Refuses a top radius whose largest weight exponent would
+    overflow."""
+    top_z, b_max = z + (n - 1) * dz, float(mass.bg[-1, -1])
+    top = 2.0 * top_z * b_max + 2.0 * mass.params.sigma / mass.params.gamma * math.log(b_max)
     if not top < 700.0:
         raise ValueError(f"overflow guard: need 2 z <k,eta>**gamma + 2 sigma log<k,eta> < 700 "
-                         f"at k_max, eta_max, got {top:.4g} at z = {z_max}")
-    return bg, bs
+                         f"at k_max, eta_max, got {top:.4g} at z = {top_z}")
+    term = mass.values * np.exp(2.0 * z * mass.bg) if z else mass.values.copy()
+    G = np.empty(n)
+    for j in range(n):
+        if j:
+            term *= step
+        G[j] = mass.deta * np.sum(term)
+    return G
 
 
-def _weighted(tables, mass: np.ndarray, z: float) -> np.ndarray:
-    """e^{2 z b^gamma} b^{2 sigma} mass on the (modes, eta) grid: the weight is formed once
-    per folded entry, mirrored onto eta < 0 and k < 0, then multiplied into mass."""
-    bg, bs = tables
-    w = np.exp(2.0 * z * bg) * bs
-    w = np.concatenate((w[:, :0:-1], w[:, :-1]), axis=1)
-    return np.concatenate((w[:0:-1], w)) * mass
-
-
-def _G_from_tables(tables, mass: np.ndarray, z: float, deta: float) -> float:
-    return float(deta * np.sum(_weighted(tables, mass, z)))
-
-
-def eta_tail_fraction(state: SpectralState, z: float, params: WeightParams) -> float:
+def eta_tail_fraction(state, z: float, params: WeightParams) -> float:
     """Weighted mass fraction in the outer tenth of the eta-grid.
 
     The discrete sum sees nothing beyond |eta| = pi/dv; this reports how
     much of the weighted integrand already sits near that edge, i.e. how
-    badly the true integral over the line is being under-counted.
+    badly the true integral over the line is being under-counted.  state
+    may be a FoldedMass.
     """
-    w = _weighted(_weight_tables(state.grid, params, z), eta_mass(state), z)
-    total = float(np.sum(w))
+    mass = _folded(state, params)
+    total = float(_G_radii(mass, z)[0])
     if total == 0.0:
         return 0.0
-    eta = state.grid.eta
-    outer = np.abs(eta) >= 0.9 * np.max(np.abs(eta))
-    return float(np.sum(w[:, outer])) / total
+    eta = mass.deta * np.arange(mass.values.shape[1])
+    outer = replace(mass, values=mass.values * (eta >= 0.9 * eta[-1]))
+    return float(_G_radii(outer, z)[0]) / total
 
 
 def gen_F(rho, t: float, z: float, params: WeightParams) -> float:
@@ -189,21 +222,25 @@ def snapshot_density(output, t: float):
     raise ValueError(f"traces were not recorded at snapshot time t = {t:g}")
 
 
-def norm_profile(output, params: WeightParams) -> NormProfile:
-    """Tabulate G and F over a RunRecord's snapshots and params.z_grid."""
+def norm_profile(output, params: WeightParams, each=None) -> NormProfile:
+    """Tabulate G and F over a RunRecord's snapshots and params.z_grid; each(i, mass), if
+    given, sees each snapshot's FoldedMass, built once, before the next snapshot is read."""
     zs = params.z_grid
     grid = output.grid
     times = np.empty(len(output.snapshots))
     G = np.empty((times.size, zs.size))
     F = np.empty_like(G)
-    tables = _weight_tables(grid, params, float(zs[-1]))
-    for i, snap in enumerate(output.snapshots):  # one read of each snapshot
+    tables = _weight_tables(grid, params)
+    dz = float(zs[1] - zs[0])
+    step = np.exp(2.0 * dz * tables[0])
+    for i, snap in enumerate(output.snapshots):
         times[i] = snap.t
-        mass = eta_mass(snap.to_state(grid))
+        mass = _folded(snap.to_state(grid), params, tables)
+        G[i] = _G_radii(mass, 0.0, dz, zs.size, step)
         terms = _F_terms(snapshot_density(output, snap.t), snap.t, params)
-        for j, z in enumerate(zs):
-            G[i, j] = _G_from_tables(tables, mass, float(z), grid.deta)
-            F[i, j] = _F_from_terms(terms, float(z))
+        F[i] = [_F_from_terms(terms, float(z)) for z in zs]
+        if each is not None:
+            each(i, mass)
     return NormProfile(times=times, z_grid=zs, G=G, F=F,
                        lam=radius(times, params))
 
@@ -262,23 +299,20 @@ class SqrtGMargin:
     ok: bool
 
 
-def check_F_le_sqrtG(state: SpectralState, rho, z, params: WeightParams):
+def check_F_le_sqrtG(state, rho, z, params: WeightParams):
     """Pointwise domination of the density norm by the generator functional.
 
-    z is one radius, or a sequence of radii answered with one SqrtGMargin
-    each from a single build of the state's eta-mass and weight tables; a
-    radius whose weight would overflow is refused, not answered with nan.
-    The margin may dip below zero only by the quadrature floor: the discrete
-    G under-counts eta-tail mass the continuous integral would include.
+    state (or its FoldedMass) is folded once; z is one radius, or a sequence
+    of radii answered with one SqrtGMargin each; a radius whose weight would
+    overflow is refused, not answered with nan.  The margin may dip below zero
+    only by the quadrature floor: the discrete G under-counts eta-tail mass.
     """
-    zs = [float(x) for x in np.atleast_1d(z)]
-    tables = _weight_tables(state.grid, params, max(zs))
-    mass = eta_mass(state)
-    terms = _F_terms(rho, state.t, params)
+    mass = _folded(state, params)
+    terms = _F_terms(rho, mass.t, params)
     out = []
-    for x in zs:
-        sq = math.sqrt(_G_from_tables(tables, mass, x, state.grid.deta))
-        margin = sq - _F_from_terms(terms, x)
+    for x in np.atleast_1d(z):
+        sq = math.sqrt(_G_radii(mass, float(x))[0])
+        margin = sq - _F_from_terms(terms, float(x))
         floor = 1e-8 * max(1.0, sq)
         out.append(SqrtGMargin(margin=margin, floor=floor, ok=margin >= -floor))
     return out[0] if np.ndim(z) == 0 else out
@@ -318,14 +352,14 @@ class MultiplierReport:
     ok: bool
 
 
-def check_multiplier(state: SpectralState, z: float, params: WeightParams,
+def check_multiplier(state, z: float, params: WeightParams,
                      h: Optional[float] = None) -> MultiplierReport:
     """Compare G of the half-derivative of the state against d_z G.
 
     Both the x-multiplier |k|^{gamma/2} and the v-multiplier |eta|^{gamma/2}
     versions must sit below the centered z-difference of G, whose step h
     (the z-grid spacing by default) must be positive and finite; z has to be
-    interior to the difference stencil.
+    interior to the difference stencil.  state may be a FoldedMass.
     """
     zg = params.z_grid
     if h is None:
@@ -337,16 +371,14 @@ def check_multiplier(state: SpectralState, z: float, params: WeightParams,
             f"z = {z} with step h = {h} is not interior to the z-grid "
             f"[{zg[0]}, {zg[-1]}]"
         )
-    g = state.grid
-    tables = _weight_tables(g, params, z + h)
-    mass = eta_mass(state)
-    dG = (_G_from_tables(tables, mass, z + h, g.deta)
-          - _G_from_tables(tables, mass, max(z - h, 0.0), g.deta)) / (2.0 * h)
+    mass = _folded(state, params)
+    dG = float(_G_radii(mass, z + h)[0] - _G_radii(mass, max(z - h, 0.0))[0]) / (2.0 * h)
     # G with the integrand multiplied by |k|^gamma or |eta|^gamma
-    k_factor = np.abs(g.modes.astype(float))[:, None] ** params.gamma
-    eta_factor = np.abs(g.eta)[None, :] ** params.gamma
-    x_margin = dG - _G_from_tables(tables, k_factor * mass, z, g.deta)
-    v_margin = dG - _G_from_tables(tables, eta_factor * mass, z, g.deta)
+    n_k, n_eta = mass.values.shape
+    k_factor = np.arange(float(n_k))[:, None] ** params.gamma
+    eta_factor = (mass.deta * np.arange(n_eta))[None, :] ** params.gamma
+    x_margin = dG - float(_G_radii(replace(mass, values=k_factor * mass.values), z)[0])
+    v_margin = dG - float(_G_radii(replace(mass, values=eta_factor * mass.values), z)[0])
     floor = 1e-8 * max(1.0, abs(dG))
     return MultiplierReport(x_margin=x_margin, v_margin=v_margin, h=h, floor=floor,
                             ok=x_margin >= -floor and v_margin >= -floor)
@@ -393,8 +425,9 @@ def check_propagator(k: int, times: np.ndarray, rho_values: np.ndarray,
         F_S = A * np.abs(source_values)
         # trapezoid of e^{-theta1 (t-s)/4} F_S(s) ds, one pass per z
         integrand = grow * F_S
-        integral = decay * np.concatenate(([0.0], np.cumsum(
-            0.5 * dt * (integrand[:-1] + integrand[1:]))))
+        integral = np.zeros_like(integrand)
+        np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]), out=integral[1:])
+        integral *= decay
         num = A * np.abs(rho_values) - F_S
         ratio = _ratios(num, integral, (num > 0.0) & (integral > RATIO_FLOOR))
         i = int(np.argmax(ratio))

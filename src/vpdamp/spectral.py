@@ -62,7 +62,10 @@ class ResolutionError(ValueError):
 
 def required_nv(V: float, k_max: int, t_final: float) -> int:
     """Smallest velocity-grid size resolving density phases up to t_final."""
-    return int(np.ceil(2.0 * V / np.pi * k_max * t_final)) + 1
+    need = 2.0 * V / np.pi * k_max * t_final
+    if not math.isfinite(need):  # a huge V overflows
+        raise ResolutionError(f"V: need 2*V*k_max*T/pi finite, got {need} at V = {V:g}")
+    return int(np.ceil(need)) + 1
 
 
 def check_resolution(V: float, k_max: int, N_v: int, T: float) -> None:
@@ -251,14 +254,24 @@ def eta_derivative(state: SpectralState, k: int) -> np.ndarray:
 
 
 def eta_mass(state: SpectralState) -> np.ndarray:
-    """|to_eta|^2 + |eta_derivative|^2 of every mode, rows in grid.modes order, bit-equal
-    to the per-mode calls: one boundary check and one FFT call per transform.  The
-    (-1)**m signs drop out of the magnitudes, so one shift, applied last, suffices."""
+    """|to_eta|^2 + |eta_derivative|^2 of every mode, rows in grid.modes order, bit-equal to
+    the per-mode calls: one boundary check, one buffer and one FFT call per transform.  The
+    (-1)**m signs drop out of the magnitudes, so in-place passes write the shifted halves."""
     _check_boundary(state)
-    g = state.grid
+    g, h = state.grid, state.grid.N_v // 2
     spec = np.fft.fft(state.data, axis=-1)
-    dspec = np.fft.fft((-1j * g.v) * state.data, axis=-1)
-    return np.fft.fftshift(np.abs(g.dv * spec) ** 2 + np.abs(g.dv * dspec) ** 2, axes=-1)
+    spec *= g.dv
+    out = np.empty(spec.shape)
+    np.abs(spec[:, h:], out=out[:, :h])
+    np.abs(spec[:, :h], out=out[:, h:])
+    out *= out
+    np.fft.fft(np.multiply(-1j * g.v, state.data, out=spec), axis=-1, out=spec)
+    spec *= g.dv
+    d = np.abs(spec)
+    d *= d
+    out[:, :h] += d[:, h:]
+    out[:, h:] += d[:, :h]
+    return out
 
 
 def phase_rows(a: float, v: np.ndarray, n: int, out=None) -> np.ndarray:

@@ -5,7 +5,6 @@ import numpy as np
 
 from vpdamp import norms
 from vpdamp.cli import ExperimentConfig
-from vpdamp.spectral import eta_mass
 
 
 def standard_params() -> norms.WeightParams:
@@ -21,5 +20,4 @@ def weight(k, eta, z: float, params):
 
 def gen_G(state, z: float, params) -> float:
     """The velocity-side generator functional at analyticity radius z."""
-    tables = norms._weight_tables(state.grid, params, z)
-    return norms._G_from_tables(tables, eta_mass(state), z, state.grid.deta)
+    return float(norms._G_radii(norms._folded(state, params), z)[0])

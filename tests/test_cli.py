@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import collections
 import hashlib
 import json
 import math
@@ -221,6 +222,17 @@ x = 1
         with pytest.raises(cli.ConfigError) as err:
             cli.parse(MINIMAL + "[grid]\nk_max = 0\nV = nan\nN_v = 5\n")
         assert err.value.violations == tuple(f"[grid] {part}" for part in parts)
+
+    @pytest.mark.parametrize("grid", ["V = 1e308", "V = 1e308\nN_v = 256"],
+                             ids=["auto-N_v", "explicit-N_v"])
+    def test_overflowing_resolution_requirement_is_a_violation(self, grid):
+        # 2*V*k_max*T/pi overflows to inf: the resolution rule names V, parse reports it
+        with pytest.raises(spectral.ResolutionError) as exc:
+            required_nv(1e308, 4, 10.0)
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse(MINIMAL + f"[grid]\n{grid}\n")
+        assert err.value.violations == (f"[grid] {exc.value}",)
+        assert str(exc.value).startswith("V: ")
 
 
 class TestEchoRoundTrip:
@@ -459,6 +471,25 @@ class TestNormsCommand:
         assert cli.main(["norms", "--config", str(path)]) == 0
         assert len(calls) == 1
 
+    def test_one_eta_mass_and_one_read_per_snapshot(self, tmp_path, monkeypatch):
+        # the profile's folded masses also serve the sqrt(G) rows, the multiplier and
+        # the tail fraction: one eta_mass per snapshot file, and each file read once
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=0.2, stride=1,
+                                                  snapshot_stride=1))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        files = sorted((tmp_path / "o").glob("snapshot_*.bin"))
+        assert len(files) == 21
+        masses, reads = [], collections.Counter()
+        mass, read = norms.eta_mass, cli.read_snapshot
+        monkeypatch.setattr(norms, "eta_mass", lambda state: masses.append(1) or mass(state))
+        monkeypatch.setattr(cli, "read_snapshot",
+                            lambda path: reads.update([Path(path)]) or read(path))
+        assert cli.main(["norms", "--config", str(path)]) == 0
+        assert len(masses) == len(files)
+        assert reads == collections.Counter(files)
+        rep = json.loads((tmp_path / "o" / "norms.json").read_text())
+        assert len(rep["sqrt_domination"]) == 3 * 16
+
     def test_failed_command_leaves_config_and_no_summary(self, tmp_path):
         path = write_config(tmp_path, config_text(tmp_path / "o"))
         assert cli.main(["norms", "--config", str(path)]) == 1
@@ -635,6 +666,13 @@ class TestExitCodesAndFlags:
         assert cli.main(["norms", "--config", str(path)]) == 1
         assert "[weights] need a finite sigma, got sigma = inf" in capsys.readouterr().err
         assert not (tmp_path / "o" / "norms.json").exists()
+
+    def test_overflowing_V_exits_1_without_traceback(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "[grid]\nV = 1e308\n")
+        assert cli.main(["penrose", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[grid] V: need 2*V*k_max*T/pi finite" in err
+        assert "Traceback" not in err
 
     def test_seed_without_random_data_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

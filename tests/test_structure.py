@@ -167,6 +167,15 @@ def test_one_mode_convolution_kernel():
     assert "phase_sum" not in imported
 
 
+def test_one_weighted_sum_in_norms():
+    # Every G comes from _G_radii, over the folded (|k|, |eta|) layout: nothing in
+    # norms.py mirrors weights onto the full grid, and no other function sums them.
+    path = Path(vpdamp.__file__).parent / "norms.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scoped(tree, _calls("concatenate")) == []
+    assert _scoped(tree, _calls("sum")) == ["_G_radii"]
+
+
 def _used(tree, strings=False) -> set:
     """Names, attributes and imported names a tree mentions; with strings, its str constants."""
     used = set()
