@@ -27,8 +27,8 @@ import numpy as np
 from .equilibria import Equilibrium
 from .linear import DensityTrace, cosine_initial_hat, local_maxima
 from .spectral import (Grid, SpectralState, boundary_floors, check_resolution, check_strides,
-                       phase_rows, record_steps, refuse_boundary, require, same_time,
-                       time_steps, trapezoid_convolve)
+                       phase_rows, record_steps, refuse_boundary, require, time_steps,
+                       trapezoid_convolve)
 
 NOISE_FLOOR = 1e-13
 PICARD_STEPS = 4000  # trapezoid steps of the second-iterate time integral
@@ -109,7 +109,7 @@ class RunOutput(RunRecord):
     initial_state: SpectralState
     final_state: SpectralState
     conservation: dict  # arrays t, mass_drift, l2, l2_drift, reality_drift, dealias, boundary_floor
-    closure: Optional[float] = None  # closure_residual, accumulated when a dense run has a sink
+    closure: Optional[float] = None  # closure residual, accumulated in the loop of a dense run
 
 
 def initial_state(grid: Grid, profile: Equilibrium, modes) -> SpectralState:
@@ -228,8 +228,9 @@ class _Engine(_Coupling):
 def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) -> RunOutput:
     """Advance the configured state to t_final, recording traces and diagnostics.
 
-    Snapshots go to sink as they are taken (else to the output's list); a dense run
-    with a sink also accumulates closure_residual into the output's closure.  Each
+    Snapshots go to sink as they are taken (else to the output's list).  A dense run
+    (every step traced and snapshotted), with or without a sink, accumulates its
+    closure residual (see _Closure) into the output's closure as it steps.  Each
     recorded step's state goes through spectral.refuse_boundary; a non-finite one
     between the first and the last is left to the next step's stability check.
     """
@@ -253,7 +254,7 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
     snapshots: list = []
     emit = snapshots.append if sink is None else sink
     dense = config.trace_stride == 1 and len(snap_set) == N + 1
-    closure = _Closure(config, init.data, times_rec, eng) if sink is not None and dense else None
+    closure = _Closure(config, init.data, times_rec, eng) if dense else None
 
     def record(n: int, drift: float) -> None:
         i, t = rec_set[n], n * dt
@@ -304,9 +305,21 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
 
 
 class _Closure:
-    """closure_residual fed a dense run's states in step order: running trapezoid sums
-    P = int f ds and Ra = int s f ds of f = -sum_l C_l g_{k-l}, rows k = 0..K (the
-    integrand is -i k f, or nothing without the quadratic term), and S0 and Q per step."""
+    """Self-consistency of the evolved density against the derived identity, fed a
+    dense run's states in step order.
+
+    For each retained mode the density must satisfy
+    rho_k(t) + int_0^t (t-s) mu_hat(k(t-s)) rho_k(s) ds = S_k(t), where the source
+    is the initial-data moment S0 minus the quadratic interaction integral Q.  Both
+    sides are assembled from the run's own history with the trapezoid rule; what is
+    NOT shared with the time stepper is the identity itself, so the residual
+    measures whether the evolution solved the right equation.  The interaction
+    integrand sum_l (k/l) g_{k-l} rho_l e^{i l s v} = i k sum_l C_l g_{k-l} reads the
+    stepper's coupling kernel on each complex64 snapshot, and the initial-data
+    moments are read with the same phase rows.  Running sums P = int f ds and
+    Ra = int s f ds of f = -sum_l C_l g_{k-l}, rows k = 0..K, give Q (the integrand
+    is -i k f, or nothing without the quadratic term); S0 and Q are kept per step.
+    """
 
     def __init__(self, cfg: RunConfig, init: np.ndarray, times: np.ndarray, coupling: _Coupling):
         g, K = cfg.grid, cfg.grid.k_max
@@ -342,38 +355,16 @@ class _Closure:
 
 
 def closure_residual(output: RunOutput) -> float:
-    """Self-consistency of the evolved density against the derived identity.
-
-    For each retained mode the density must satisfy
-    rho_k(t) + int_0^t (t-s) mu_hat(k(t-s)) rho_k(s) ds = S_k(t), where the
-    source is the initial-data moment minus the quadratic interaction
-    integral.  Both sides are assembled from the run's own dense history
-    with the same trapezoid rule; what is NOT shared with the time
-    stepper is the identity itself, so the residual measures whether the
-    evolution solved the right equation.  The interaction integrand
-    sum_l (k/l) g_{k-l} rho_l e^{i l s v} = i k sum_l C_l g_{k-l} replays the
-    stepper's coupling kernel over the snapshots, and the initial-data
-    moments are read with the same phase rows.  The replay feeds the
-    accumulator a run with a sink feeds as it steps: the values are bit-identical.
-    Raises MissingSnapshotsError unless every step is traced and snapshotted.
-    """
-    cfg = output.config
-    if cfg.trace_stride != 1:
+    """The closure residual (see _Closure) that a dense run, with or without a sink,
+    accumulated in its step loop.  Raises MissingSnapshotsError unless every step was
+    traced and snapshotted."""
+    if output.config.trace_stride != 1:
         raise MissingSnapshotsError("closure residual needs traces at every step")
-    g = cfg.grid
-    K = g.k_max
-    N = cfg.n_steps
-    dt = cfg.dt
-    snaps = output.snapshots
-    if len(snaps) != N + 1 or not all(same_time(s.t, n * dt) for n, s in enumerate(snaps)):
+    if output.closure is None:
         raise MissingSnapshotsError(
             "closure residual needs dense snapshots; rerun with snapshot_stride=1"
         )
-    closure = _Closure(cfg, output.initial_state.data, output.times, _Coupling(K, g.N_v))
-    rho = np.array([output.traces[k].values for k in range(1, K + 1)])
-    for n, snap in enumerate(snaps):
-        closure.add(rho[:, n], phase_rows(output.times[n], g.v, K), snap.data[K:])
-    return closure.residual()
+    return output.closure
 
 
 @dataclass(frozen=True)

@@ -413,13 +413,15 @@ def _dominant_root(eq: Equilibrium, k: int, rect):
 def landau_root(eq: Equilibrium, k: int):
     """Dispersion zero for mode k, seeded from a coarse grid scan.
 
-    Searches the upper half of a rectangle sized from the equilibrium
-    envelope: damped roots have -theta0 |k| < Re < 0 for generic
-    envelopes, deeper for super-exponential ones; unstable roots sit at
-    Re > 0, and the one with the largest Re wins.  A damped root is the one
-    polished from the scan's least |D|, not necessarily the least damped:
-    for two_stream(3), k = 1 it is -1.13286 + 1.19286i, though -1.13186 +
-    4.79348i in the same rectangle is less damped.
+    Scans a rectangle sized from the equilibrium envelope, with Im lambda
+    from 0.2 up, so no seed lies on the real axis: damped roots have
+    -theta0 |k| < Re < 0 for generic envelopes, deeper for
+    super-exponential ones; unstable roots sit at Re > 0, and the one with
+    the largest Re wins.  A damped root is the one polished from the
+    scan's least |D|, not necessarily the least damped: for two_stream(3),
+    k = 1 it is -1.13286 + 1.19286i, though -1.13186 + 4.79348i in the same
+    rectangle is less damped, and for streams at +-1 of width 0.6 it is
+    -0.41368 + 2.32595i, though the real zero -0.13374 is less damped.
     """
     if eq.hat_log_envelope is not None:
         re0 = -2.95 * abs(k)

@@ -234,6 +234,27 @@ x = 1
         assert err.value.violations == (f"[grid] {exc.value}",)
         assert str(exc.value).startswith("V: ")
 
+    @pytest.mark.parametrize("text,violation", [
+        ("[equilibrium]\nname =\n",
+         "[equilibrium] name: required (gaussian, two_stream, or zero)"),
+        (MINIMAL + "params = a, b\n",
+         "[equilibrium] params: expected comma-separated numbers, got 'a, b'"),
+        (MINIMAL + "[initial-data]\nmodes = 1:x:1e-3\n",
+         "[initial-data] modes: entry '1:x:1e-3' has non-numeric fields"),
+        (MINIMAL + "[initial-data]\nprofile = foo\n",
+         "[initial-data] profile: choose from none, gaussian, zero, got 'foo'"),
+        (MINIMAL + "[output]\ndirectory =\n", "[output] directory: need a nonempty path"),
+        (MINIMAL + "[initial-data]\nrandom_modes = -1\n",
+         "[initial-data] random_modes: need random_modes >= 0, got -1"),
+        (MINIMAL + "[initial-data]\nrandom_amplitude = 0\n",
+         "[initial-data] random_amplitude: need a positive finite number, got 0.0"),
+    ], ids=["empty-name", "params", "mode-fields", "profile", "empty-directory",
+            "random_modes", "random_amplitude"])
+    def test_reader_refusal_is_a_violation(self, text, violation):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse(text)
+        assert err.value.violations == (violation,)
+
 
 class TestEchoRoundTrip:
     def test_minimal_round_trips(self):
@@ -673,6 +694,25 @@ class TestExitCodesAndFlags:
         err = capsys.readouterr().err
         assert "[grid] V: need 2*V*k_max*T/pi finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,modes,traces,message", [
+        ("linear", "", None, "error: linear needs at least one initial mode"),
+        ("norms", "1:0.0:1e-3", "t,k,re_rho,im_rho,abs_E\n0,1,0,0,0\n",
+         "traces.csv has no config-hash header"),
+        ("norms", "1:0.0:1e-3", "# config-hash: 0\nt,k,rho\n0,1,0\n",
+         "traces.csv has an unexpected column header"),
+        ("norms", "1:0.0:1e-3",
+         "# config-hash: 0\nt,k,re_rho,im_rho,abs_E\n0,1,0,0,0\n0,2,0,0,0\n0.1,1,0,0,0\n",
+         "traces.csv: mode 2 has 1 samples, expected 2"),
+    ], ids=["linear-without-modes", "trace-hash-line", "trace-columns", "trace-short-mode"])
+    def test_command_refusal_exits_1(self, tmp_path, capsys, command, modes, traces, message):
+        path = write_config(tmp_path, config_text(tmp_path / "o", modes=modes))
+        if traces is not None:
+            (tmp_path / "o").mkdir()
+            (tmp_path / "o" / "traces.csv").write_text(traces)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / f"{command}.json").exists()
 
     def test_seed_without_random_data_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import warnings
 
@@ -41,6 +42,15 @@ def narrow_two_stream():
         two_stream(1.0), theta0=0.3,
         mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.045 * np.asarray(eta, float) ** 2),
         hat_log_envelope=lambda eta: -0.045 * np.asarray(eta, float) ** 2)
+
+
+def wide_two_stream():
+    """Streams at +-1 of width 0.6: mu_hat = cos(eta) e^{-0.18 eta^2}, stable, with a real
+    k = 1 zero inside the widest strip probed, Re lambda > -theta0/2."""
+    return dataclasses.replace(
+        two_stream(1.0), theta0=0.6,
+        mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.18 * np.asarray(eta, float) ** 2),
+        hat_log_envelope=lambda eta: -0.18 * np.asarray(eta, float) ** 2)
 
 
 # Recorded boundary-scan reference (regression pin, not an external truth).
@@ -238,6 +248,19 @@ class TestStripWidth:
 
     def test_stub_vacuous(self):
         assert strip_width(zero()) == pytest.approx(0.5)
+
+    def test_bisection_stops_below_the_real_zero(self):
+        # theta0/2 = 0.3 holds the real k = 1 zero, so the widest probe winds and the
+        # bisection narrows the strip to within 1e-3 of that zero, for every k scanned
+        eq = wide_two_stream()
+        s = strip_width(eq)
+        assert s == pytest.approx(0.1335937, abs=1e-7) and s < 0.5 * eq.theta0
+        b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
+        assert [count_zeros(eq, k, (-s * k, b, 40.0)) for k in range(1, 7)] == [0] * 6
+        assert count_zeros(eq, 1, (-(s + 1e-3), b, 40.0)) == 1
+        lam, res = find_root(eq, 1, -0.13)
+        assert res < 1e-10 and lam.imag == 0.0
+        assert lam.real == pytest.approx(-0.1337420, abs=1e-7) and -(s + 1e-3) < lam.real < -s
 
 
 class TestFindRoot:

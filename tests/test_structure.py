@@ -167,6 +167,16 @@ def test_one_mode_convolution_kernel():
     assert "phase_sum" not in imported
 
 
+def test_one_closure_path():
+    # run accumulates every closure in its step loop; nothing builds a second
+    # _Closure to replay stored snapshots through it.
+    path = Path(vpdamp.__file__).parent / "nonlinear.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    built = _scoped(tree, lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_Closure")
+    assert built == ["run"]
+
+
 def test_one_weighted_sum_in_norms():
     # Every G comes from _G_radii, over the folded (|k|, |eta|) layout: nothing in
     # norms.py mirrors weights onto the full grid, and no other function sums them.
