@@ -22,9 +22,13 @@ import numpy as np
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Equilibrium:
     """A spatially homogeneous background profile mu(v).
+
+    Equality and hashing are by identity, and penrose.strip_width keys its
+    widths by the object: value equality would compare the closures by
+    identity anyway, and the params dict has no hash.
 
     Attributes
     ----------

@@ -25,7 +25,6 @@ convolution with the source an FFT product: O(N log N) per mode.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -157,23 +156,6 @@ class ResolventKernel:
     theta_fit: float
 
 
-_strip_cache: dict = {}  # id(eq) -> (weak reference to eq, strip width)
-
-
-def _certified_strip(eq: Equilibrium) -> float:
-    """strip_width(eq), computed once per live Equilibrium object.
-
-    An entry is served only to the object it refers to, and is dropped when
-    that object is collected, so the cache holds only live equilibria and a
-    new one that reuses a freed id gets its own strip.
-    """
-    entry = _strip_cache.get(id(eq))
-    if entry is None or entry[0]() is not eq:
-        entry = _strip_cache[id(eq)] = (weakref.ref(eq), strip_width(eq))
-        weakref.finalize(eq, _strip_cache.pop, id(eq), None)
-    return entry[1]
-
-
 def contour_parameters(eq: Equilibrium, k: int, t_max: float):
     """Default (theta_hat1, Omega, n_quad) for resolvent_kernel.
 
@@ -182,7 +164,7 @@ def contour_parameters(eq: Equilibrium, k: int, t_max: float):
     trapezoid's periodization images land beyond t_max plus many decay
     lengths.
     """
-    theta_hat1 = min(_certified_strip(eq), 0.25 * eq.theta0)
+    theta_hat1 = min(strip_width(eq), 0.25 * eq.theta0)
     Omega = 100.0
     period = t_max + 25.0 / (theta_hat1 * abs(k))
     n_quad = int(math.ceil(Omega * period / (2.0 * math.pi))) + 1
@@ -206,7 +188,7 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
     if times.ndim != 1 or not times.size or np.max(
             np.abs(times - np.linspace(times[0], times[-1], times.size))) > 1e-12:
         raise ValueError(f"times must be a uniform grid t_0 + n h, got {times}")
-    strip = _certified_strip(eq)
+    strip = strip_width(eq)
     if theta_hat1 > strip + 1e-12:
         raise ValueError(
             f"contour abscissa {theta_hat1:g} exceeds the certified strip width {strip:g}"

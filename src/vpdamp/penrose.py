@@ -25,6 +25,7 @@ point keeps Gauss-Legendre so the roots and the zoomed margin do not depend on i
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +59,7 @@ class NoStableStripError(RuntimeError):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_strips: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # Equilibrium -> strip_width
 
 
 def _log_integrand_bound(eq: Equilibrium, ak: float, rho: float, t: float) -> float:
@@ -310,17 +312,28 @@ def margin(eq: Equilibrium, k_max_scan: int = 4, n_omega: int = 10001) -> Margin
     )
 
 
-def strip_width(eq: Equilibrium, k_max_scan: int = 4) -> float:
-    """Largest theta <= theta0/2 with D zero-free on Re lambda in [-theta |k|, 0].
+def strip_width(eq: Equilibrium) -> float:
+    """Largest theta <= theta0/2 with D zero-free on Re lambda in [-theta |k|, 0] for all k.
 
     Bisection to tolerance 1e-3, each probe certified by winding numbers
-    over k up to max(k_max_scan, k_tail_threshold - 1); beyond that the
-    envelope keeps |L| <= 1/2 throughout the strip so no zeros exist.
-    Raises NoStableStripError when a zero sits in the closed right
-    half-plane (found by the theta = 0 windings once the widest probe
-    fails) or the bisection finds no strip.
+    over 1 <= k < k_tail_threshold(eq): from k_tail on, the envelope keeps
+    |L| <= 1/2 on Re lambda >= -theta0 |k|/2, which holds every probe
+    rectangle, so no zeros exist there.  Each Equilibrium object is certified
+    once, its width kept while the object lives: full_report,
+    contour_parameters and resolvent_kernel share one strip.  Raises
+    NoStableStripError, on every call, when a zero sits in the closed right
+    half-plane (found by the theta = 0 windings once the widest probe fails)
+    or the bisection finds no strip.
     """
-    ks = range(1, max(k_max_scan, k_tail_threshold(eq) - 1) + 1)
+    width = _strips.get(eq)
+    if width is None:
+        width = _strips[eq] = _certify_strip(eq)
+    return width
+
+
+def _certify_strip(eq: Equilibrium) -> float:
+    """strip_width's bisection, run on every call."""
+    ks = range(1, k_tail_threshold(eq))
     b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
 
     def first_winding(theta: float) -> Optional[int]:
@@ -454,7 +467,7 @@ def full_report(eq: Equilibrium, k_max_scan: int = 4, n_omega: int = 10001) -> D
     m = margin(eq, k_max_scan=k_max_scan, n_omega=n_omega)
     roots = list(m.offenders)
     if m.kappa0 > 0.0:
-        theta1 = strip_width(eq, k_max_scan=k_max_scan)
+        theta1 = strip_width(eq)
         for k in (1, 2):
             try:
                 lam, res = landau_root(eq, k)

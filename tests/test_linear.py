@@ -2,11 +2,12 @@
 
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from vpdamp import linear
+from vpdamp import linear, penrose
 from vpdamp.equilibria import gaussian, two_stream, zero
 from vpdamp.linear import (
     DensityTrace,
@@ -19,6 +20,7 @@ from vpdamp.linear import (
     source_from_initial,
     volterra_solve,
 )
+from vpdamp.penrose import full_report
 from vpdamp.spectral import chirp_sum, phase_sum
 
 # Dominant Landau root of the gaussian background at k = 1, frozen from an
@@ -236,19 +238,34 @@ class TestKernel:
 
     def test_strip_cache_serves_each_equilibrium_its_own_width(self, monkeypatch):
         # Short-lived equilibria reuse freed ids; none may receive another's strip.
-        monkeypatch.setattr(linear, "_strip_cache", {})
-        monkeypatch.setattr(linear, "strip_width", lambda eq: 0.5 * eq.theta0)
+        monkeypatch.setattr(penrose, "_strips", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(penrose, "_certify_strip", lambda eq: 0.5 * eq.theta0)
         for i in range(20):
             eq = dataclasses.replace(gaussian(), theta0=1.0 - 0.03 * i)
-            assert linear._certified_strip(eq) == 0.5 * eq.theta0
+            assert penrose.strip_width(eq) == 0.5 * eq.theta0
 
     def test_strip_cache_drops_collected_equilibria(self, monkeypatch):
-        monkeypatch.setattr(linear, "_strip_cache", {})
-        monkeypatch.setattr(linear, "strip_width", lambda eq: 0.5 * eq.theta0)
+        monkeypatch.setattr(penrose, "_strips", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(penrose, "_certify_strip", lambda eq: 0.5 * eq.theta0)
         for i in range(50):
-            linear._certified_strip(dataclasses.replace(gaussian(), theta0=1.0 - 0.01 * i))
+            penrose.strip_width(dataclasses.replace(gaussian(), theta0=1.0 - 0.01 * i))
         gc.collect()
-        assert len(linear._strip_cache) <= 2
+        assert len(penrose._strips) <= 2
+
+    def test_one_certified_strip_per_equilibrium(self, monkeypatch):
+        # contour_parameters certifies the strip; full_report on the same object reads
+        # it, whatever its k_max_scan, and winds only margin's own rectangles.
+        rects = []
+        count_zeros = penrose.count_zeros
+        monkeypatch.setattr(penrose, "count_zeros",
+                            lambda eq, k, rect: rects.append(rect) or count_zeros(eq, k, rect))
+        eq = gaussian()
+        contour_parameters(eq, 1, 20.0)
+        assert rects, "contour_parameters ran no bisection"
+        rects.clear()
+        rep = full_report(eq, k_max_scan=8)
+        assert rects == [rect for _, rect, _ in rep.windings]
+        assert rep.theta1 == penrose.strip_width(eq)
 
     @pytest.mark.parametrize("times", [np.array([0.0, 0.1, 0.3]), np.linspace(0, 1, 11) ** 2,
                                        np.zeros((2, 3)), np.array([])])

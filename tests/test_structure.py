@@ -67,6 +67,38 @@ def test_step_limit_lives_in_spectral(path):
         assert not found, f"{path.name} repeats the 1e7 step limit: {found}"
 
 
+def _keyed_by_id(node, names):
+    """The name of a dict in names that node indexes, or calls a method of, with id(...)."""
+    if isinstance(node, ast.Subscript):
+        owner, key = node.value, node.slice
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+        owner, key = node.func.value, node.args[0]
+    else:
+        return None
+    name = getattr(owner, "id", None)
+    keyed = isinstance(key, ast.Call) and getattr(key.func, "id", None) == "id"
+    return name if keyed and name in names else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_certification_cache(path):
+    # penrose.strip_width keeps each Equilibrium object's certified strip; a second
+    # private cache (weak references, or a module-level dict keyed by id(...), which
+    # a freed object's id can reuse) could serve a width certified for another object.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module_names = {target.id for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in getattr(node, "targets", [getattr(node, "target", None)])
+                    if isinstance(target, ast.Name)}
+    found = [f"line {node.lineno}: {_keyed_by_id(node, module_names)}[id(...)]"
+             for node in ast.walk(tree) if _keyed_by_id(node, module_names)]
+    if path.name != "penrose.py":
+        found += [f"line {node.lineno}: imports weakref" for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(a.name == "weakref" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "weakref"]
+    assert not found, f"{path.name} keeps a private certification cache: {found}"
+
+
 def _parse_documented(block: str):
     return cli.parse(re.sub(r"\s*[;#].*", "", block))
 
