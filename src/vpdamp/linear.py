@@ -8,8 +8,9 @@ Laplace-domain solution along a vertical contour inside the certified
 zero-free strip and `solve_via_kernel` convolves the result with the
 source.  The two routes share nothing numerically past the closed-form
 mu_hat, which is what makes their agreement a meaningful check.  The
-march solves its discrete system by divide and conquer with FFT history
-sums and one precomputed-inverse product per base block, O(N log^2 N) per mode.
+march solves its discrete system by divide and conquer with FFT history sums
+(each span's kernel transformed once per solve) and one precomputed-inverse
+product per base block, O(N log^2 N) per mode.
 
 Contour note: the Laplace-domain kernel -L/(1+L) only decays like
 |lambda|^{-2} along vertical lines, which would need an absurd
@@ -113,27 +114,31 @@ def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> Dens
     inverse = np.eye(min(VOLTERRA_BLOCK, times.size))
     for n in range(1, inverse.shape[0]):
         inverse[n] -= dt * kappa[n:0:-1] @ inverse[:n]
-    _solve_block(inverse.astype(complex), kappa, rho, dt, weight, 1, times.size)
+    _solve_block(inverse.astype(complex), kappa, rho, dt, weight, 1, times.size, {})
     return DensityTrace(k=k, times=times, values=rho)
 
 
-def _solve_block(inverse, kappa, rho, dt, weight, lo, hi):
+def _solve_block(inverse, kappa, rho, dt, weight, lo, hi, spectra):
     """Turn rho[lo:hi], sources holding all history before lo, into the solution.
 
     Solve the first half, add its history into the second half with one
     FFT convolution, recurse; multiply by `inverse` up to VOLTERRA_BLOCK.
     As w_{m-lo} w_{n-m} = w_{n-lo} for w_j = e^{sigma t_j}, convolving the
     weighted factors and dividing by w_{n-lo} gives the same sums, with
-    the FFT's round-off shrinking with the decaying solution.
+    the FFT's round-off shrinking with the decaying solution.  `spectra` holds
+    each span's kernel transform: a split costs one forward and one inverse FFT.
     """
     if hi - lo <= VOLTERRA_BLOCK:
         rho[lo:hi] = inverse[: hi - lo, : hi - lo] @ rho[lo:hi]
         return
     mid, span = (lo + hi) // 2, hi - lo
-    _solve_block(inverse, kappa, rho, dt, weight, lo, mid)
-    hist = fft_convolve(rho[lo:mid] * weight[: mid - lo], kappa[:span] * weight[:span], span)
-    rho[mid:hi] -= dt * hist[mid - lo :] / weight[mid - lo : span]
-    _solve_block(inverse, kappa, rho, dt, weight, mid, hi)
+    _solve_block(inverse, kappa, rho, dt, weight, lo, mid, spectra)
+    size = 1 << (mid - lo + span - 2).bit_length()
+    if span not in spectra:
+        spectra[span] = np.fft.fft(kappa[:span] * weight[:span], size)
+    hist = np.fft.ifft(np.fft.fft(rho[lo:mid] * weight[: mid - lo], size) * spectra[span])
+    rho[mid:hi] -= dt * hist[mid - lo : span] / weight[mid - lo : span]
+    _solve_block(inverse, kappa, rho, dt, weight, mid, hi, spectra)
 
 
 @dataclass(frozen=True)

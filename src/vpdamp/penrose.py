@@ -20,6 +20,8 @@ rigorous global infimum; the certification parameters travel with it.
 Uniform Im lambda grids on a vertical line (boundary scan, contour edges, the
 resolvent contour) take one O(N log N) chirp-z sum, `symbol_on_line`; every other
 point keeps Gauss-Legendre so the roots and the zoomed margin do not depend on it.
+On the root scan's 48 x 48 grid, e^{-lambda t} = e^{-Re lambda t} e^{-i Im lambda t}
+makes the sum over those nodes one matrix product.
 """
 
 from __future__ import annotations
@@ -114,29 +116,26 @@ def laplace_symbol(eq: Equilibrium, k: int, lam):
     super-exponential envelope the symbol is entire and any lambda is
     accepted.
     """
-    return _moment_transform(eq, k, lam, 1, 0.0)
-
-
-def _moment_transform(eq: Equilibrium, k: int, lam, power: int, extra: float):
-    """Laplace transform of t^power mu_hat(k t) by composite Gauss-Legendre on [0, T].
-
-    T is the batch's certified envelope cutoff plus `extra` (power 2 with slack 2
-    is -d/dlambda of laplace_symbol); panels narrow with |k| and the batch's largest
-    |Im lambda| and |Re lambda| so 32 nodes per panel stay spectrally accurate.
-    """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    T = _cutoff(eq, k, float(np.max(-lam_arr.real)), extra)
-    omega_max = float(np.max(np.abs(lam_arr.imag)))
-    re_max = float(np.max(np.abs(lam_arr.real)))
+    out = phase_sum(-lam_arr, *_gauss_panels(eq, k, lam_arr, 1, 0.0))
+    return complex(out[0]) if np.ndim(lam) == 0 else out
+
+
+def _gauss_panels(eq: Equilibrium, k: int, lam: np.ndarray, power: int, extra: float):
+    """Composite Gauss-Legendre nodes t and weights w t^power mu_hat(k t) on [0, T] for the
+    transform of t^power mu_hat(k t) at the batch lam: T is its certified envelope cutoff plus
+    `extra` (power 2 with slack 2 gives -d/dlambda of laplace_symbol); panels narrow with |k|
+    and its largest |Im lambda| and |Re lambda| so 32 nodes per panel stay spectrally accurate."""
+    T = _cutoff(eq, k, float(np.max(-lam.real)), extra)
+    omega_max = float(np.max(np.abs(lam.imag)))
+    re_max = float(np.max(np.abs(lam.real)))
     width = min(1.0, 4.0 / abs(k), 20.0 / max(omega_max, 20.0), 16.0 / max(re_max, 16.0))
     edges = np.linspace(0.0, T, int(math.ceil(T / width)) + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    f = weights * nodes**power * np.asarray(eq.mu_hat(k * nodes), dtype=float)
-    out = phase_sum(-lam_arr, nodes, f)
-    return complex(out[0]) if np.ndim(lam) == 0 else out
+    return nodes, weights * nodes**power * np.asarray(eq.mu_hat(k * nodes), dtype=float)
 
 
 def symbol_on_line(eq: Equilibrium, k: int, re: float, omega) -> np.ndarray:
@@ -375,7 +374,8 @@ def find_root(eq: Equilibrium, k: int, seed: complex):
             d = dispersion(eq, k, lam)
             if abs(d) < ROOT_RESIDUAL_TOL:
                 return lam, abs(d)
-            dp = -_moment_transform(eq, k, lam, 2, 2.0)
+            t, f = _gauss_panels(eq, k, np.array([lam]), 2, 2.0)
+            dp = -complex(phase_sum(np.array([-lam]), t, f)[0])
         except DomainError as exc:
             raise RootConvergenceError(f"iterate {lam:.6g} (k={k}): {exc}") from exc
         if abs(dp) < 1e-14:
@@ -396,17 +396,19 @@ def find_root(eq: Equilibrium, k: int, seed: complex):
 def _dominant_root(eq: Equilibrium, k: int, rect):
     """Dispersion zero seeded by a 48 x 48 scan of |D| over a rectangle.
 
-    rect = (re_min, re_max, im_min, im_max).  Every local minimum of |D|
-    right of Re = -(one grid step) is polished, the lowest row counting as
-    an edge open towards the real axis, and the growing root with the
-    largest Re lambda is returned, Im >= 0.  Without one, the root
-    polished from the least |D| of the scan is returned; that need not be
-    the least damped root in the rectangle.
+    rect = (re_min, re_max, im_min, im_max).  The scan is one product
+    (e^{-Re lambda t} w) @ e^{-i Im lambda t} over laplace_symbol's nodes t for
+    the grid.  Every local minimum of |D| right of Re = -(one grid step) is
+    polished, the lowest row counting as an edge open towards the real axis,
+    and the growing root with the largest Re lambda is returned, Im >= 0.
+    Without one, the root polished from the least |D| of the scan is
+    returned; that need not be the least damped root in the rectangle.
     """
     a, b, i0, i1 = rect
-    re = np.linspace(a, b, 48)
-    lam = re[:, None] + 1j * np.linspace(i0, i1, 48)[None, :]
-    mag = np.abs(1.0 + laplace_symbol(eq, k, lam.ravel())).reshape(lam.shape)
+    re, om = np.linspace(a, b, 48), np.linspace(i0, i1, 48)
+    lam = re[:, None] + 1j * om[None, :]
+    t, f = _gauss_panels(eq, k, lam, 1, 0.0)
+    mag = np.abs(1.0 + (np.exp(-np.outer(re, t)) * f) @ np.exp(-1j * np.outer(t, om)))
     pad = np.pad(mag, 1, constant_values=-np.inf)
     pad[:, 0] = np.inf
     near = np.minimum.reduce([pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]])

@@ -21,7 +21,7 @@ from vpdamp.linear import (
     volterra_solve,
 )
 from vpdamp.penrose import full_report
-from vpdamp.spectral import chirp_sum, phase_sum
+from vpdamp.spectral import chirp_sum, fft_convolve, phase_sum
 
 # Dominant Landau root of the gaussian background at k = 1, frozen from an
 # independent trapezoid-quadrature Newton oracle.
@@ -162,6 +162,40 @@ def direct_march(eq, k, source, dt, T):
     return rho
 
 
+def convolve_march(eq, k, source, dt, T):
+    """volterra_solve with every split's history from fft_convolve, the kernel transformed anew."""
+    times = dt * np.arange(int(round(T / dt)) + 1)
+    kappa = times * np.asarray(eq.mu_hat(k * times), dtype=float)
+    rho = np.array(source(times), dtype=complex)
+    rho[1:] -= 0.5 * dt * kappa[1:] * rho[0]
+    weight = np.exp(min(1.0, eq.theta0 * abs(k), linear.EXP_CAP / max(T, dt)) * times)
+    inverse = np.eye(min(linear.VOLTERRA_BLOCK, times.size))
+    for n in range(1, inverse.shape[0]):
+        inverse[n] -= dt * kappa[n:0:-1] @ inverse[:n]
+    inverse = inverse.astype(complex)
+
+    def block(lo, hi):
+        if hi - lo <= linear.VOLTERRA_BLOCK:
+            rho[lo:hi] = inverse[: hi - lo, : hi - lo] @ rho[lo:hi]
+            return
+        mid, span = (lo + hi) // 2, hi - lo
+        block(lo, mid)
+        hist = fft_convolve(rho[lo:mid] * weight[: mid - lo], kappa[:span] * weight[:span], span)
+        rho[mid:hi] -= dt * hist[mid - lo :] / weight[mid - lo : span]
+        block(mid, hi)
+
+    block(1, times.size)
+    return rho
+
+
+def split_spans(lo, hi):
+    """Span hi - lo of every split the divide and conquer makes on [lo, hi)."""
+    if hi - lo <= linear.VOLTERRA_BLOCK:
+        return []
+    mid = (lo + hi) // 2
+    return split_spans(lo, mid) + [hi - lo] + split_spans(mid, hi)
+
+
 class TestVolterraDivideAndConquer:
     @staticmethod
     def source(t):
@@ -177,6 +211,28 @@ class TestVolterraDivideAndConquer:
         ref = direct_march(eq, 1, self.source, dt, T)
         assert got.shape == ref.shape == (n,)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [129, 1001, 1002, 20001])
+    @pytest.mark.parametrize("eq", [EQ, two_stream(3.0), narrow_two_stream()],
+                             ids=["gaussian", "two_stream3", "narrow"])
+    def test_bit_identical_to_convolve_march(self, eq, n):
+        dt = 20.0 / (n - 1)
+        got = volterra_solve(eq, 1, self.source, dt, dt * (n - 1)).values
+        assert np.array_equal(got, convolve_march(eq, 1, self.source, dt, dt * (n - 1)))
+
+    @pytest.mark.parametrize("n", [1002, 20001])
+    def test_each_span_kernel_transformed_once(self, monkeypatch, n):
+        # 20001 samples split spans 20000, 10000, ..., 625, 312, 313, 156, 157
+        forward, inverse = [], []
+        fft, ifft = np.fft.fft, np.fft.ifft
+        monkeypatch.setattr(np.fft, "fft", lambda a, *args: forward.append(a) or fft(a, *args))
+        monkeypatch.setattr(np.fft, "ifft", lambda a, *args: inverse.append(a) or ifft(a, *args))
+        dt = 20.0 / (n - 1)
+        volterra_solve(EQ, 1, self.source, dt, dt * (n - 1))
+        spans = split_spans(1, n)
+        kernels = [a.size for a in forward if np.isrealobj(a)]
+        assert sorted(kernels) == sorted(set(spans)) and len(set(spans)) < len(spans)
+        assert len(forward) - len(kernels) == len(inverse) == len(spans)
 
     @pytest.mark.parametrize("dt, T", [(0.25, 60.0), (0.05, 40.0)])
     def test_growing_resolvent_matches_direct_march(self, dt, T):

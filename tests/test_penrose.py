@@ -315,6 +315,63 @@ class TestFindRoot:
             find_root(narrow_two_stream(), 1, -9.0 + 0.0j)
 
 
+def dense_scan_root(eq, k, rect):
+    """_dominant_root with the 48 x 48 scan as one dense laplace_symbol batch: (root, |D| grid)."""
+    a, b, i0, i1 = rect
+    re = np.linspace(a, b, 48)
+    lam = re[:, None] + 1j * np.linspace(i0, i1, 48)[None, :]
+    mag = np.abs(1.0 + laplace_symbol(eq, k, lam.ravel())).reshape(lam.shape)
+    pad = np.pad(mag, 1, constant_values=-np.inf)
+    pad[:, 0] = np.inf
+    near = np.minimum.reduce([pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]])
+    growing = []
+    for seed in lam[(mag <= near) & (re[:, None] >= re[0] - re[1])]:
+        try:
+            root, res = find_root(eq, k, seed)
+        except RootConvergenceError:
+            continue
+        if root.real > 0.0:
+            growing.append((complex(root.real, abs(root.imag)), res))
+    if growing:
+        return max(growing, key=lambda r: r[0].real), mag
+    return find_root(eq, k, lam.flat[np.argmin(mag)]), mag
+
+
+class TestRootScan:
+    """landau_root's scan as one separable product against the dense batch it replaced."""
+
+    @pytest.mark.parametrize("eq, k", [(gaussian(), 1), (gaussian(), 2), (two_stream(3.0), 1),
+                                       (narrow_two_stream(), 1)],
+                             ids=["gaussian-k1", "gaussian-k2", "two_stream3-k1", "narrow-k1"])
+    def test_matches_dense_scan(self, monkeypatch, eq, k):
+        re0 = -2.95 * k if eq.hat_log_envelope is not None else -0.95 * eq.theta0 * k
+        rect = (re0, 1.0, 0.2, 2.5 * k + 3.0)
+        grids, pad = [], np.pad
+
+        def spy(array, *args, **kwargs):
+            grids.append(np.array(array))
+            return pad(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "pad", spy)
+        got = penrose._dominant_root(eq, k, rect)
+        monkeypatch.setattr(np, "pad", pad)
+        ref, dense = dense_scan_root(eq, k, rect)
+        assert got == ref
+        assert got == landau_root(eq, k)
+        assert grids[0].shape == dense.shape == (48, 48)
+        # Both sums round off on the scale 1 + sum_j e^{-Re lambda t_j} |w_j|; on
+        # narrow's Re = -2.95 rows that is up to 1e13 |D|, and neither carries digits.
+        re = np.linspace(rect[0], rect[1], 48)
+        lam = re[:, None] + 1j * np.linspace(rect[2], rect[3], 48)[None, :]
+        t, w = penrose._gauss_panels(eq, k, lam, 1, 0.0)
+        scale = (1.0 + np.exp(-np.outer(re, t)) @ np.abs(w))[:, None]
+        err = np.abs(grids[0] - dense)
+        assert np.all(err <= 1e-14 * scale)
+        kept = scale <= 1e3 * dense
+        assert np.all(err[kept] <= 1e-12 * dense[kept])
+        assert kept.all() or eq.hat_log_envelope is not None
+
+
 class TestReport:
     def test_gaussian_report(self):
         rep = full_report(gaussian(), n_omega=2001)

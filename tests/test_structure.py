@@ -179,8 +179,10 @@ def _takes_l_over_range(node) -> bool:
     return False
 
 
-def _calls(attr):
-    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
+def _calls(name):
+    """A call of name, as a function or as a method."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
 
 
 def test_one_mode_convolution_kernel():
@@ -216,6 +218,18 @@ def test_one_weighted_sum_in_norms():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scoped(tree, _calls("concatenate")) == []
     assert _scoped(tree, _calls("sum")) == ["_G_radii"]
+
+
+def test_root_scan_is_one_product():
+    # _dominant_root factors e^{-lambda t} on its 48 x 48 grid into one product over
+    # the Gauss-Legendre nodes; a dense laplace_symbol or phase_sum batch would take
+    # one complex exponential per grid point and node again.
+    path = Path(vpdamp.__file__).parent / "penrose.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for name in ("laplace_symbol", "phase_sum"):
+        scopes = _scoped(tree, _calls(name))
+        assert scopes and "_dominant_root" not in scopes, (name, scopes)
+    assert "_dominant_root" in _scoped(tree, _calls("_gauss_panels"))
 
 
 def _used(tree, strings=False) -> set:
