@@ -20,7 +20,8 @@ autoconvolution, one FFT with Gregory end corrections), so only the
 remainder -L^3/(1+L), decaying like |lambda|^{-6}, is integrated
 numerically.  Its symbol on the contour is one chirp-z line sum, on a
 uniform time grid the contour trapezoid a chirp-z transform and the
-convolution with the source an FFT product: O(N log N) per mode.
+convolution with the source an FFT product: O(N log N) per mode.  Every
+zero-padded product, the march's splits too, pads to spectral.fft_length.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .penrose import strip_width, symbol_on_line
-from .spectral import GREGORY_WEIGHTS, chirp_sum, fft_convolve, time_steps, trapezoid_convolve
+from .spectral import (GREGORY_WEIGHTS, chirp_sum, fft_convolve, fft_length, time_steps,
+                       trapezoid_convolve)
 
 TRACE_FLOOR = 1e-14
 EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
@@ -125,18 +127,20 @@ def _solve_block(inverse, kappa, rho, dt, weight, lo, hi, spectra):
     FFT convolution, recurse; multiply by `inverse` up to VOLTERRA_BLOCK.
     As w_{m-lo} w_{n-m} = w_{n-lo} for w_j = e^{sigma t_j}, convolving the
     weighted factors and dividing by w_{n-lo} gives the same sums, with
-    the FFT's round-off shrinking with the decaying solution.  `spectra` holds
-    each span's kernel transform: a split costs one forward and one inverse FFT.
+    the FFT's round-off shrinking with the decaying solution.  `spectra` holds each
+    span's fft_length (mid - lo is span // 2) and kernel transform: a split costs one
+    forward and one inverse FFT, padded as fft_convolve pads.
     """
     if hi - lo <= VOLTERRA_BLOCK:
         rho[lo:hi] = inverse[: hi - lo, : hi - lo] @ rho[lo:hi]
         return
     mid, span = (lo + hi) // 2, hi - lo
     _solve_block(inverse, kappa, rho, dt, weight, lo, mid, spectra)
-    size = 1 << (mid - lo + span - 2).bit_length()
     if span not in spectra:
-        spectra[span] = np.fft.fft(kappa[:span] * weight[:span], size)
-    hist = np.fft.ifft(np.fft.fft(rho[lo:mid] * weight[: mid - lo], size) * spectra[span])
+        size = fft_length(mid - lo + span - 1)
+        spectra[span] = size, np.fft.fft(kappa[:span] * weight[:span], size)
+    size, spectrum = spectra[span]
+    hist = np.fft.ifft(np.fft.fft(rho[lo:mid] * weight[: mid - lo], size) * spectrum)
     rho[mid:hi] -= dt * hist[mid - lo : span] / weight[mid - lo : span]
     _solve_block(inverse, kappa, rho, dt, weight, mid, hi, spectra)
 
@@ -314,8 +318,8 @@ def solve_via_kernel(source: DensityTrace, kernel: ResolventKernel) -> DensityTr
     """Density of mode kernel.k from the explicit solution rho = S + K * S (trapezoid).
 
     The source trace's grid must match the kernel's uniform grid.  The
-    convolution is one zero-padded FFT product, O(N log N); on a one-sample
-    grid it is 0 and the density is the source.
+    convolution is one FFT product padded to fft_length (40500 for 20001
+    samples), O(N log N); on a one-sample grid it is 0 and the density is the source.
     """
     S = np.asarray(source.values, dtype=complex)
     t = np.asarray(source.times, dtype=float)

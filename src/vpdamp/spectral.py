@@ -35,6 +35,9 @@ raises it: `Grid` the grid (k_max >= 1, 0 < V < inf, N_v even and >= 2),
 `time_steps` the time grid of every run, `check_strides` the recording
 strides, whose steps `record_steps` lists, and `same_time` whether a time
 is a recorded one.
+
+Padding rule: every zero-padded FFT product pads to `fft_length`, the least 2^a 3^b 5^c not
+below its convolution length, which numpy transforms as fast per point as a power of two.
 """
 
 from __future__ import annotations
@@ -311,10 +314,21 @@ def chirp_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.exp(a * b[0]) * chirp[M - 1 :] * y
 
 
+def fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (1 for n <= 1), over the 2^a multiples of each 3^b 5^c."""
+    best, p5 = 1 << max(n - 1, 0).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best, p = min(best, p << (-(-n // p) - 1).bit_length()), 3 * p
+        p5 *= 5
+    return best
+
+
 def fft_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution a * b, by one zero-padded FFT product
+    """First n terms of the linear convolution a * b, by one FFT product padded to fft_length
     (real FFTs for real inputs: half the work and less round-off)."""
-    size = 1 << (a.size + b.size - 2).bit_length()
+    size = fft_length(a.size + b.size - 1)
     if np.isrealobj(a) and np.isrealobj(b):
         return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]

@@ -215,6 +215,33 @@ class TestWinding:
         with pytest.raises(ValueError):
             count_zeros(gaussian(), 1, (1.0, 1.0, 2.0))
 
+    def test_one_contour_evaluation_per_level(self, monkeypatch):
+        # level 1's every other sample is the density-8 contour: when the first two
+        # windings agree, one evaluation (two vertical line sums) settles the count
+        lines = []
+        line_sum = penrose.symbol_on_line
+        monkeypatch.setattr(penrose, "symbol_on_line",
+                            lambda eq, k, re, om: lines.append(re) or line_sum(eq, k, re, om))
+        eq = gaussian()
+        b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
+        assert [count_zeros(eq, k, (0.0, b, 50.0)) for k in range(1, 5)] == [0] * 4
+        assert len(lines) == 8
+
+    @pytest.mark.parametrize("eq, want", [(two_stream(3.0), [0] * 4),
+                                          (narrow_two_stream(), [1, 0, 0, 0])],
+                             ids=["two_stream3", "narrow"])
+    def test_margin_rectangle_windings(self, eq, want):
+        # gaussian()'s are pinned above, the wide two-stream's strip probes in TestStripWidth
+        b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
+        assert [count_zeros(eq, k, (0.0, b, 50.0)) for k in range(1, 5)] == want
+
+    @pytest.mark.parametrize("a", [-1.1330, -1.1325, -1.1320, -1.1315])
+    def test_refuses_left_edges_by_the_damped_roots(self, a):
+        # the k = 1 zeros -1.13286 + 1.19286i and -1.13186 + 4.79348i sit by these
+        # left edges; finer levels past density 2048 would return a count there
+        with pytest.raises(ContourError):
+            count_zeros(two_stream(3.0), 1, (a, 1.0, 5.5))
+
 
 class TestMargin:
     def test_gaussian_positive_margin(self):

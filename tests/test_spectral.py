@@ -10,6 +10,8 @@ from vpdamp.spectral import (
     check_resolution,
     eta_derivative,
     eta_mass,
+    fft_convolve,
+    fft_length,
     record_steps,
     required_nv,
     time_steps,
@@ -196,6 +198,39 @@ class TestState:
         with pytest.raises(BoundaryDecayError, match=r"^mode k=-1 has boundary floor 1\.000e-03 "
                            r"at \|v\| = V \(tolerance 1e-12\); enlarge V$"):
             eta_mass(st)
+
+
+def smooth_235(n):
+    """Brute-force smallest m >= max(n, 1) with no prime factor above 5."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+class TestFFTConvolve:
+    def test_fft_length_is_the_smallest_235_smooth_bound(self):
+        assert [fft_length(n) for n in range(1, 5001)] == [smooth_235(n) for n in range(1, 5001)]
+        # the criterion-2 grid's products and top Volterra split; 81 = 3^4 is its own length
+        assert (fft_length(40001), fft_length(29999), fft_length(81)) == (40500, 30000, 81)
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (500, 502), (20001, 20001)],
+                             ids=["7", "1001", "40001"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_direct_convolution(self, sizes, dtype):
+        # linear-convolution lengths 7, 1001 and 40001 pad to 8, 1024 and 40500, not 2^k
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=sizes[0]) + (1j * rng.normal(size=sizes[0]) if dtype is complex else 0)
+        b = rng.normal(size=sizes[1])
+        ref = np.convolve(a, b)
+        got = fft_convolve(a, b, ref.size)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.iscomplexobj(got) == (dtype is complex)
 
 
 class TestTrapezoidConvolve:

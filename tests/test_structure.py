@@ -232,6 +232,17 @@ def test_root_scan_is_one_product():
     assert "_dominant_root" in _scoped(tree, _calls("_gauss_panels"))
 
 
+def test_one_fft_padding_rule():
+    # spectral.fft_length sizes every zero-padded product: fft_convolve and the Volterra
+    # march's splits pad alike, so the march's bit-identity oracle, which calls
+    # fft_convolve, compares like with like.  A power-of-two rounding is a second rule.
+    for module, name in (("spectral.py", "fft_convolve"), ("linear.py", "_solve_block")):
+        path = Path(vpdamp.__file__).parent / module
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert name in _scoped(tree, _calls("fft_length")), (module, name)
+        assert name not in _scoped(tree, _calls("bit_length")), (module, name)
+
+
 def _used(tree, strings=False) -> set:
     """Names, attributes and imported names a tree mentions; with strings, its str constants."""
     used = set()
