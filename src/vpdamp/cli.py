@@ -39,7 +39,7 @@ from .nonlinear import RunConfig, RunRecord, Snapshot, check_modes, echo_experim
 from .nonlinear import closure_residual  # noqa: F401  (perfbench's tracer wraps it here)
 from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
                     check_propagator, eta_tail_fraction, fit_FG1, norm_profile, radius,
-                    snapshot_density)
+                    require_snapshots, snapshot_density)
 from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
 from .penrose import NoStableStripError, full_report, strip_width
 from .spectral import (Grid, check_resolution, check_strides, record_steps, required_nv,
@@ -509,7 +509,7 @@ def _cmd_linear(cfg: ExperimentConfig, opts: _Options) -> tuple:
     times = traces[ks[0]].times
     idx = record_steps(times.size - 1, cfg.trace_stride)
     if "csv" in cfg.formats:
-        _write_trace_csv(opts.out_dir / "traces.csv", opts.cfg_hash,
+        _write_trace_csv(opts.out_dir / "linear_traces.csv", opts.cfg_hash,
                          {k: tr.values[idx] for k, tr in traces.items()}, times[idx])
     try:
         theta1 = strip_width(eq)
@@ -612,6 +612,7 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
     stored = _load_run(cfg, opts)
     params = cfg.weights()
     n = len(stored.snapshots)
+    require_snapshots(n)
     pick = set(np.linspace(0, n - 1, min(n, 16)).astype(int).tolist())
     sqrt_rows = []
     final = None

@@ -9,6 +9,10 @@ all truncation choices deterministic.  Profiles whose transform decays
 super-exponentially also expose the sharper bound through
 hat_log_envelope, so quadrature windows do not have to pay for the
 loose envelope.
+
+The Maxwellian and the symmetric two-stream profile are one family,
+mu_hat(eta) = cos(u eta) e^{-eta^2/2}, built by one construction
+(_streams): gaussian() is two_stream at u = 0, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,48 +64,17 @@ class Equilibrium:
         return f"Equilibrium({self.name}{', ' + ps if ps else ''})"
 
 
-def gaussian() -> Equilibrium:
-    """Unit-mass Gaussian, mu(v) = (2 pi)^{-1/2} e^{-v^2 / 2}.
+def _streams(name: str, u: float, params: dict) -> Equilibrium:
+    """The stream pair mu(v) = [M(v - u) + M(v + u)] / 2, M the unit-mass Gaussian.
 
-    The transform e^{-eta^2/2} decays super-exponentially; the declared
-    envelope constants (theta0, C0) = (1, e^{1/2}) give the valid but
-    deliberately loose bound e^{-eta^2/2} <= e^{1/2} e^{-|eta|} (the
-    exponent -eta^2/2 + |eta| - 1/2 = -(|eta| - 1)^2 / 2 is <= 0).
+    mu_hat(eta) = cos(u eta) e^{-eta^2/2}, with no cosine taken at u = 0.  The
+    transform decays super-exponentially; the declared envelope constants
+    (theta0, C0) = (1, e^{1/2}) give the valid but deliberately loose bound
+    |mu_hat(eta)| <= e^{1/2} e^{-|eta|} for every u, since |cos| <= 1 and the
+    exponent -eta^2/2 + |eta| - 1/2 = -(|eta| - 1)^2 / 2 is <= 0.  At u = 0, mu and
+    mu_prime equal the single Gaussian's e / sqrt(2 pi) and -v e / sqrt(2 pi) exactly,
+    since 0.5 (e + e) = e and -0.5 (2 v e) = -v e involve no rounding.
     """
-
-    def mu(v):
-        v = np.asarray(v, dtype=float)
-        return np.exp(-0.5 * v**2) / _SQRT2PI
-
-    def mu_prime(v):
-        v = np.asarray(v, dtype=float)
-        return -v * np.exp(-0.5 * v**2) / _SQRT2PI
-
-    def mu_hat(eta):
-        eta = np.asarray(eta, dtype=float)
-        return np.exp(-0.5 * eta**2)
-
-    return Equilibrium(
-        name="gaussian",
-        mu=mu,
-        mu_prime=mu_prime,
-        mu_hat=mu_hat,
-        C0=math.exp(0.5),
-        theta0=1.0,
-        hat_log_envelope=lambda eta: -0.5 * np.asarray(eta, dtype=float) ** 2,
-    )
-
-
-def two_stream(u: float) -> Equilibrium:
-    """Symmetric bimodal profile: unit-width Gaussians centred at +-u.
-
-    mu(v) = [M(v - u) + M(v + u)] / 2 with M the unit-mass Gaussian, so
-    mu_hat(eta) = cos(u eta) e^{-eta^2/2}.  Since |cos| <= 1 the Gaussian
-    envelope constants remain valid for every separation u.
-    """
-    u = float(u)
-    if not (u >= 0 and math.isfinite(u)):
-        raise ValueError(f"stream separation must be finite and >= 0, got {u}")
 
     def mu(v):
         v = np.asarray(v, dtype=float)
@@ -109,26 +82,30 @@ def two_stream(u: float) -> Equilibrium:
 
     def mu_prime(v):
         v = np.asarray(v, dtype=float)
-        return (
-            -0.5
-            * ((v - u) * np.exp(-0.5 * (v - u) ** 2) + (v + u) * np.exp(-0.5 * (v + u) ** 2))
-            / _SQRT2PI
-        )
+        a, b = v - u, v + u
+        return -0.5 * (a * np.exp(-0.5 * a**2) + b * np.exp(-0.5 * b**2)) / _SQRT2PI
 
     def mu_hat(eta):
         eta = np.asarray(eta, dtype=float)
-        return np.cos(u * eta) * np.exp(-0.5 * eta**2)
+        gauss = np.exp(-0.5 * eta**2)
+        return np.cos(u * eta) * gauss if u else gauss
 
-    return Equilibrium(
-        name="two_stream",
-        mu=mu,
-        mu_prime=mu_prime,
-        mu_hat=mu_hat,
-        C0=math.exp(0.5),
-        theta0=1.0,
-        params={"u": u},
-        hat_log_envelope=lambda eta: -0.5 * np.asarray(eta, dtype=float) ** 2,
-    )
+    return Equilibrium(name=name, mu=mu, mu_prime=mu_prime, mu_hat=mu_hat, C0=math.exp(0.5),
+                       theta0=1.0, params=params,
+                       hat_log_envelope=lambda eta: -0.5 * np.asarray(eta, dtype=float) ** 2)
+
+
+def gaussian() -> Equilibrium:
+    """Unit-mass Gaussian, mu(v) = (2 pi)^{-1/2} e^{-v^2 / 2}: the stream pair at u = 0."""
+    return _streams("gaussian", 0.0, {})
+
+
+def two_stream(u: float) -> Equilibrium:
+    """Symmetric bimodal profile: unit-width Gaussians centred at +-u (see _streams)."""
+    u = float(u)
+    if not (u >= 0 and math.isfinite(u)):
+        raise ValueError(f"stream separation must be finite and >= 0, got {u}")
+    return _streams("two_stream", u, {"u": u})
 
 
 def zero() -> Equilibrium:

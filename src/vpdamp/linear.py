@@ -34,8 +34,8 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .penrose import strip_width, symbol_on_line
-from .spectral import (GREGORY_WEIGHTS, chirp_sum, fft_convolve, fft_length, time_steps,
-                       trapezoid_convolve)
+from .spectral import (GREGORY_WEIGHTS, chirp_sum, fft_convolve, fft_length, require,
+                       time_steps, trapezoid_convolve)
 
 TRACE_FLOOR = 1e-14
 EXP_CAP = 600.0  # largest exponent of a weight e^{c t}; e^600 ~ 4e260 leaves headroom
@@ -106,6 +106,7 @@ def volterra_solve(eq: Equilibrium, k: int, source, dt: float, T: float) -> Dens
     inverse of I + dt T_kappa, the march of the identity, built once per call.  History
     sums carry e^{sigma t}, sigma = min(1, theta0 |k|), with sigma T <= EXP_CAP.
     """
+    require((k != 0, "k must be nonzero"))
     times = dt * np.arange(time_steps(dt, T) + 1)
     kappa = times * np.asarray(eq.mu_hat(k * times), dtype=float)
     rho = np.array(source(times), dtype=complex)
@@ -173,6 +174,7 @@ def contour_parameters(eq: Equilibrium, k: int, t_max: float):
     trapezoid's periodization images land beyond t_max plus many decay
     lengths.
     """
+    require((k != 0, "k must be nonzero"))
     theta_hat1 = min(strip_width(eq), 0.25 * eq.theta0)
     Omega = 100.0
     period = t_max + 25.0 / (theta_hat1 * abs(k))
@@ -191,8 +193,7 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
     Refuses a non-uniform time grid, an abscissa beyond the certified
     zero-free strip and an Omega whose measured tail exceeds 1e-8.
     """
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    require((k != 0, "k must be nonzero"))
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size or np.max(
             np.abs(times - np.linspace(times[0], times[-1], times.size))) > 1e-12:

@@ -260,14 +260,18 @@ def check_FG1(output, params: WeightParams) -> FG1Report:
     return fit_FG1(norm_profile(output, params))
 
 
+def require_snapshots(n: int) -> None:
+    """Refuse fewer snapshots than fit_FG1's centered time differences need."""
+    require((n >= 3, "need at least 3 snapshots for centered time differencing"))
+
+
 def fit_FG1(prof: NormProfile) -> FG1Report:
     """Fit the smallest C0 with  d_t G <= C0 F G^{1/2} + C0 (1+t) F d_z G.
 
     Time and z derivatives are centered differences on the snapshot times
     and the z-grid; only interior sample points constrain the fit.
     """
-    if prof.times.size < 3:
-        raise ValueError("need at least 3 snapshots for centered time differencing")
+    require_snapshots(prof.times.size)
     if prof.z_grid.size < 3:
         raise ValueError("need at least 3 z-grid points for centered z differencing")
     inner = (slice(1, -1), slice(1, -1))

@@ -339,7 +339,7 @@ class TestLinearCommand:
             tmp_path / "lin", name="zero", profile="gaussian", k_max=2,
             dt=1e-2, T=2.0, stride=1, snapshot_stride=0, formats="csv,json"))
         assert cli.main(["linear", "--config", str(path)]) == 0
-        _, times, vals = cli._read_trace_csv(tmp_path / "lin" / "traces.csv")
+        _, times, vals = cli._read_trace_csv(tmp_path / "lin" / "linear_traces.csv")
         source = 0.5e-3 * np.exp(-times**2 / 2.0)
         assert np.max(np.abs(vals[1] - source)) <= 1e-14
         rep = json.loads((tmp_path / "lin" / "linear.json").read_text())
@@ -353,7 +353,7 @@ class TestLinearCommand:
         rep = json.loads((tmp_path / "lin2" / "linear.json").read_text())
         rate = rep["fits"]["1"]["rate"]
         assert abs(rate - 0.8513304555998186) / 0.8513304555998186 < 0.05
-        assert not (tmp_path / "lin2" / "traces.csv").exists()
+        assert not (tmp_path / "lin2" / "linear_traces.csv").exists()
 
     def test_propagator_fit_is_the_direct_fit(self, tmp_path):
         # the linear estimate in the density norm, at the strip width penrose certifies
@@ -522,6 +522,36 @@ class TestNormsCommand:
                                                   formats="csv,json"))
         assert cli.main(["nonlinear", "--config", str(path)]) == 0
         assert cli.main(["norms", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("snapshot_stride, n", [(0, 1), (50, 2)])
+    def test_refuses_fewer_than_3_snapshots_before_computing(self, tmp_path, monkeypatch,
+                                                             capsys, snapshot_stride, n):
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=0.5,
+                                                  snapshot_stride=snapshot_stride))
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        assert len(list((tmp_path / "o").glob("snapshot_*.bin"))) == n
+        monkeypatch.setattr(cli, "norm_profile", lambda *args: pytest.fail("norm_profile ran"))
+        capsys.readouterr()
+        assert cli.main(["norms", "--config", str(path)]) == 1
+        assert "need at least 3 snapshots for centered time differencing" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o" / "norm_profile.csv").exists()
+        assert not (tmp_path / "o" / "norms.json").exists()
+
+    def test_linear_run_leaves_the_nonlinear_traces(self, tmp_path):
+        # linear writes linear_traces.csv: a linear run between nonlinear and norms changes
+        # neither the traces norms reads nor its report
+        path = write_config(tmp_path, config_text(tmp_path / "o", T=1.0, snapshot_stride=20))
+        out = tmp_path / "o"
+        assert cli.main(["nonlinear", "--config", str(path)]) == 0
+        assert cli.main(["norms", "--config", str(path)]) == 0
+        traces, report = (out / "traces.csv").read_bytes(), (out / "norms.json").read_bytes()
+        (out / "norms.json").unlink()
+        assert cli.main(["linear", "--config", str(path)]) == 0
+        assert cli.main(["norms", "--config", str(path)]) == 0
+        assert (out / "norms.json").read_bytes() == report
+        assert (out / "traces.csv").read_bytes() == traces
+        assert (out / "linear_traces.csv").exists()
 
     def test_rejects_foreign_artifacts(self, tmp_path):
         path = write_config(tmp_path, config_text(tmp_path / "o", T=1.0))

@@ -49,11 +49,13 @@ class TestGaussian:
 
 class TestTwoStream:
     def test_zero_separation_degenerates(self):
+        # one stream construction: at u = 0 every value is the Gaussian's, sign bits included
         ts, ga = two_stream(0.0), gaussian()
         v = np.linspace(-8.0, 8.0, 321)
         eta = np.linspace(-10.0, 10.0, 201)
-        assert np.max(np.abs(ts.mu(v) - ga.mu(v))) < 1e-15
-        assert np.max(np.abs(ts.mu_hat(eta) - ga.mu_hat(eta))) < 1e-15
+        for f, x in (("mu", v), ("mu_prime", v), ("mu_hat", eta)):
+            a, b = getattr(ts, f)(x), getattr(ga, f)(x)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), f
         assert ts.C0 == ga.C0 and ts.theta0 == ga.theta0
 
     def test_point_values(self):

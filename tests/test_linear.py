@@ -283,6 +283,17 @@ class TestKernelAutoconvolution:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("route", ["contour_parameters", "volterra_solve"])
+    def test_zero_mode_refused_before_any_work(self, route, monkeypatch):
+        # the mean mode has no density equation: refused with resolvent_kernel's message
+        # before the strip is certified or the source and kernel are sampled
+        monkeypatch.setattr(linear, "strip_width", lambda eq: pytest.fail("strip certified"))
+        with pytest.raises(ValueError, match="k must be nonzero"):
+            if route == "contour_parameters":
+                contour_parameters(EQ, 0, 5.0)
+            else:
+                volterra_solve(EQ, 0, lambda ts: pytest.fail("source sampled"), 1e-2, 1.0)
+
     def test_stub_kernel_identically_zero(self):
         t = 1e-2 * np.arange(101)
         ker = resolvent_kernel(STUB, 1, 0.25, 50.0, 256, t)

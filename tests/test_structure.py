@@ -243,6 +243,14 @@ def test_one_fft_padding_rule():
         assert name not in _scoped(tree, _calls("bit_length")), (module, name)
 
 
+def test_one_stream_construction():
+    # gaussian is the stream pair at u = 0: the catalog builds an Equilibrium in the one
+    # stream construction and in zero, so mu, mu', mu_hat and the envelope are written once.
+    path = Path(vpdamp.__file__).parent / "equilibria.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(_scoped(tree, _calls("Equilibrium"))) == ["_streams", "zero"]
+
+
 def _used(tree, strings=False) -> set:
     """Names, attributes and imported names a tree mentions; with strings, its str constants."""
     used = set()
