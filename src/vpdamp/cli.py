@@ -42,8 +42,8 @@ from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_mul
                     require_snapshots, snapshot_density)
 from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
 from .penrose import NoStableStripError, full_report, strip_width
-from .spectral import (Grid, check_resolution, check_strides, record_steps, required_nv,
-                       time_steps)
+from .spectral import (Grid, check_resolution, check_strides, fft_length, record_steps,
+                       required_nv, time_steps)
 
 FORMAT_VERSION = 1
 ENV_PREFIX = "VPDAMP_"
@@ -62,9 +62,9 @@ class ConfigError(ValueError):
 
 
 def _auto_nv(V: float, k_max: int, t_final: float) -> int:
-    """The N_v that "N_v = 0" means: even, at least 256, resolving phases up to t_final."""
-    need = required_nv(V, k_max, t_final)
-    return max(256, need + need % 2)
+    """The N_v that "N_v = 0" means: an even 2^a 3^b 5^c length (a fast FFT), at least 256,
+    resolving phases up to t_final."""
+    return max(256, 2 * fft_length(-(-required_nv(V, k_max, t_final) // 2)))
 
 
 def _fmt(x: float) -> str:

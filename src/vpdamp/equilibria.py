@@ -28,7 +28,11 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class Equilibrium:
-    """A spatially homogeneous background profile mu(v).
+    """A spatially homogeneous, even background profile mu(v) = mu(-v).
+
+    Construction, dataclasses.replace too, refuses a mu or mu_hat that is not real and
+    even to 1e-14 relative at +-3 probes (values that are not finite are left to the
+    solvers): every layer relies on a real, even mu_hat.
 
     Equality and hashing are by identity, and penrose.strip_width keys its
     widths by the object: value equality would compare the closures by
@@ -58,6 +62,14 @@ class Equilibrium:
     theta0: float
     params: dict = field(default_factory=dict)
     hat_log_envelope: Optional[Callable] = None
+
+    def __post_init__(self):
+        probes = np.array([0.3, 1.1, 2.7])
+        for f, label in ((self.mu, "mu(v) = mu(-v)"), (self.mu_hat, "mu_hat(eta) = mu_hat(-eta)")):
+            plus, minus = np.asarray(f(probes)), np.asarray(f(-probes))
+            if np.any(np.abs(plus - minus) > 1e-14 * np.abs(plus)) or np.any(np.imag(plus) != 0):
+                raise ValueError(f"{self.name}: an equilibrium must be even, with a real "
+                                 f"transform; {label} in real values fails at +-{probes}")
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())

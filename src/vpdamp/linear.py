@@ -214,7 +214,7 @@ def resolvent_kernel(eq: Equilibrium, k: int, theta_hat1: float, Omega: float,
 
     # contour remainder
     omega = np.linspace(0.0, Omega, n_quad)
-    L = symbol_on_line(eq, k, -a, omega)
+    L = symbol_on_line(eq, -theta_hat1, omega / abs(k)) / k**2
     G = -(L**3) / (1.0 + L)
     tail = np.abs(G[-1]) * Omega / 5.0  # integrand falls like omega^{-6}
     if tail > 1e-8 * math.pi:

@@ -256,7 +256,8 @@ class FG1Report:
 
 
 def check_FG1(output, params: WeightParams) -> FG1Report:
-    """fit_FG1 on the norm profile of the run's snapshots."""
+    """fit_FG1 on the norm profile of the run's snapshots, refusing too few before tabulating."""
+    require_snapshots(len(output.snapshots))
     return fit_FG1(norm_profile(output, params))
 
 

@@ -22,7 +22,7 @@ from vpdamp.linear import cosine_initial_hat, source_from_initial, volterra_solv
 from vpdamp.nonlinear import Snapshot, closure_residual, run
 from vpdamp.norms import norm_profile
 from vpdamp.penrose import NoStableStripError, strip_width
-from vpdamp.spectral import Grid, required_nv
+from vpdamp.spectral import Grid, fft_length, required_nv
 
 MINIMAL = "[equilibrium]\nname = gaussian\n"
 
@@ -86,6 +86,14 @@ class TestParse:
         need = required_nv(8.0, 4, 50.0)
         assert need > 256
         assert cfg.N_v >= need and cfg.N_v % 2 == 0
+        # the least even 2^a 3^b 5^c length, a fast FFT: 1020 = 2^2 3 5 17 would not be
+        assert cfg.N_v == 2 * fft_length(-(-need // 2)) == 1024
+        rest = cfg.N_v
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
+        assert cli._auto_nv(8.0, 8, 30.0) == 1250  # README grid at T = 30; 1224 = 2^3 3^2 17
 
     def test_directly_built_config_resolves_auto_nv(self):
         # N_v = 0 is the auto value whether or not the config went through parse

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,30 @@ def test_catalog_envelope(eq):
         normal = mag >= np.finfo(float).tiny  # subnormal values carry too few digits for a log
         bound = eq.hat_log_envelope(eta[normal])
         assert np.all(np.log(mag[normal]) <= bound + 1e-12 * np.maximum(1.0, np.abs(bound)))
+
+
+class TestEvenness:
+    """Every layer reads mu_hat as real and even: construction refuses anything else."""
+
+    def test_drifting_maxwellian_refused(self):
+        # mu(v) = M(v - 1), mu_hat = e^{-i eta} e^{-eta^2/2}: the Galilean image of gaussian()
+        ga = gaussian()
+        drifted_hat = lambda eta: np.exp(-1j * np.asarray(eta, float)) * ga.mu_hat(eta)  # noqa: E731
+        with pytest.raises(ValueError, match=r"must be even.*mu\(v\) = mu\(-v\)"):
+            dataclasses.replace(ga, mu=lambda v: ga.mu(np.asarray(v, float) - 1.0),
+                                mu_hat=drifted_hat)
+        with pytest.raises(ValueError, match=r"real transform.*mu_hat\(eta\) = mu_hat\(-eta\)"):
+            dataclasses.replace(ga, mu_hat=drifted_hat)
+
+    def test_uneven_real_transform_refused(self):
+        with pytest.raises(ValueError, match="must be even"):
+            dataclasses.replace(gaussian(),
+                                mu_hat=lambda eta: np.exp(-0.5 * (np.asarray(eta) - 0.1) ** 2))
+
+    @pytest.mark.parametrize("eq", CATALOG.values(), ids=CATALOG.keys())
+    def test_catalog_and_replaced_pairs_build(self, eq):
+        # the stream pairs of the penrose and linear tests are built through replace
+        pair = dataclasses.replace(
+            eq, theta0=0.3, mu_hat=lambda eta: np.cos(np.asarray(eta, float))
+            * np.exp(-0.045 * np.asarray(eta, float) ** 2))
+        assert pair.theta0 == 0.3 and dataclasses.replace(eq).mu is eq.mu

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -321,17 +322,21 @@ class TestKernel:
 
     def test_one_certified_strip_per_equilibrium(self, monkeypatch):
         # contour_parameters certifies the strip; full_report on the same object reads
-        # it, whatever its k_max_scan, and winds only margin's own rectangles.
-        rects = []
-        count_zeros = penrose.count_zeros
-        monkeypatch.setattr(penrose, "count_zeros",
-                            lambda eq, k, rect: rects.append(rect) or count_zeros(eq, k, rect))
+        # it, whatever its k_max_scan, and winds only margin's own z-rectangle, whose
+        # count for mode k covers the lambda-rectangle k rect that windings reports.
+        contours = []
+        windings = penrose._windings
+        monkeypatch.setattr(penrose, "_windings", lambda eq, rect, ks: contours.append(
+            (rect, tuple(ks))) or windings(eq, rect, ks))
         eq = gaussian()
         contour_parameters(eq, 1, 20.0)
-        assert rects, "contour_parameters ran no bisection"
-        rects.clear()
+        assert contours, "contour_parameters ran no bisection"
+        contours.clear()
         rep = full_report(eq, k_max_scan=8)
-        assert rects == [rect for _, rect, _ in rep.windings]
+        b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
+        assert contours == [((0.0, b, penrose.OMEGA_MAX), tuple(range(1, 9)))]
+        assert [rect for _, rect, _ in rep.windings] == [
+            (0.0, k * b, k * penrose.OMEGA_MAX) for k in range(1, 9)]
         assert rep.theta1 == penrose.strip_width(eq)
 
     @pytest.mark.parametrize("times", [np.array([0.0, 0.1, 0.3]), np.linspace(0, 1, 11) ** 2,

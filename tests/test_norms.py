@@ -317,6 +317,15 @@ class TestFG1:
         with pytest.raises(ValueError, match="3 snapshots"):
             check_FG1(run(cfg), PARAMS)
 
+    def test_insufficient_snapshots_refused_before_the_profile(self, monkeypatch):
+        # a 1-snapshot run is refused up front, without tabulating its norm profile
+        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5, modes=((1, 1e-3, 0.0),))
+        out = run(cfg)
+        assert len(out.snapshots) == 1
+        monkeypatch.setattr(norms, "norm_profile", lambda *a: pytest.fail("profile tabulated"))
+        with pytest.raises(ValueError, match="3 snapshots"):
+            check_FG1(out, PARAMS)
+
 
 class TestSqrtGDomination:
     def test_zero_state(self):

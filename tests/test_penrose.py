@@ -116,7 +116,7 @@ def dense_line_reference(eq, k, re, omega, n=40000):
     Both ends carry the order-8 Gregory corrections; one phase row per omega,
     no FFT, and a step far below the line sum's.
     """
-    T = penrose._cutoff(eq, k, -re) + 1.0
+    T = penrose._cutoff(eq, -re / k) / k + 1.0
     t = np.linspace(0.0, T, n + 1)
     f = (T / n) * t * eq.mu_hat(k * t) * np.exp(-re * t)
     f[:8] *= 1.0 + GREGORY_WEIGHTS
@@ -129,48 +129,50 @@ LINE_EQUILIBRIA = {"gaussian": gaussian(), "two_stream-3": two_stream(3.0),
 
 
 class TestSymbolOnLine:
-    """The chirp-z line sum against the Gauss-Legendre symbol and a dense reference."""
+    """The chirp-z line sum of L_1, read by mode k at z = lambda/k against k^2 L, the
+    Gauss-Legendre symbol and a dense reference in t."""
 
     @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_laplace_symbol(self, eq, k):
         omega = np.linspace(0.0, 50.0, 10001)
-        line = penrose.symbol_on_line(eq, k, 0.0, omega)
+        line = penrose.symbol_on_line(eq, 0.0, omega / k) / k**2
         assert np.max(np.abs(line - laplace_symbol(eq, k, 1j * omega))) <= 1e-14
         # the chirp sum answers at omega_0 + n h exactly; a step of 1/8 makes those
         # the grid's own floats (with a step of 0.1, linspace's points sit up to an
         # ulp of 40 off that lattice, and |dL/domega| ~ 3 turns that into 1.3e-14)
-        re = -0.5 * eq.theta0 * k
+        re = -0.5 * eq.theta0
         down = np.linspace(40.0, -40.0, 641)
-        line = penrose.symbol_on_line(eq, k, re, down)
-        assert np.max(np.abs(line - laplace_symbol(eq, k, re + 1j * down))) <= 1e-14
+        line = penrose.symbol_on_line(eq, re, down)
+        assert np.max(np.abs(line - laplace_symbol(eq, 1, re + 1j * down))) <= 1e-14
+        assert np.max(np.abs(line / k**2 - laplace_symbol(eq, k, k * (re + 1j * down)))) <= 1e-14
 
     @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_laplace_symbol_on_the_resolvent_contour(self, eq, k):
-        # resolvent_kernel's own line: Re = -theta_hat1 |k|, omega = linspace(0, 100, n_quad)
-        # on the criterion-2 grid (t_max = 20), and the remainder -L^3/(1+L) it integrates
+        # resolvent_kernel's own line: Re z = -theta_hat1 at omega/k, omega = linspace(0,
+        # 100, n_quad) on the criterion-2 grid (t_max = 20), and the remainder -L^3/(1+L)
+        # it integrates
         theta_hat1, Omega, n_quad = contour_parameters(eq, k, 20.0)
-        re = -theta_hat1 * k
         omega = np.linspace(0.0, Omega, n_quad)
-        line = penrose.symbol_on_line(eq, k, re, omega)
-        dense = laplace_symbol(eq, k, re + 1j * omega)
+        line = penrose.symbol_on_line(eq, -theta_hat1, omega / k) / k**2
+        dense = laplace_symbol(eq, k, -theta_hat1 * k + 1j * omega)
         assert np.max(np.abs(line - dense)) <= 1e-14
         assert np.max(np.abs(line**3 / (1.0 + line) - dense**3 / (1.0 + dense))) <= 1e-14
 
     @pytest.mark.parametrize("eq", LINE_EQUILIBRIA.values(), ids=LINE_EQUILIBRIA.keys())
     @pytest.mark.parametrize("k", [8, 16])
     def test_matches_dense_reference_at_large_k(self, eq, k):
-        # here the Gauss-Legendre panels are too wide for mu_hat(k t) (two_stream(5),
-        # k = 16, Re = -8 misses by 1.8e-12), so the reference is a dense sum
+        # the dense reference sums t mu_hat(k t) in t, so this checks L(k, lambda) =
+        # L_1(lambda/k)/k^2 on the boundary scan's and the strip probes' lines
         omega = np.linspace(0.0, 50.0, 10001)
-        line = penrose.symbol_on_line(eq, k, 0.0, omega)
+        line = penrose.symbol_on_line(eq, 0.0, omega / k) / k**2
         sub = slice(None, None, 100)
         assert np.max(np.abs(line[sub] - dense_line_reference(eq, k, 0.0, omega[sub]))) <= 1e-15
-        re = -0.5 * eq.theta0 * k
+        re = -0.5 * eq.theta0
         down = np.linspace(40.0, -40.0, 81)
-        line = penrose.symbol_on_line(eq, k, re, down)
-        assert np.max(np.abs(line - dense_line_reference(eq, k, re, down))) <= 1e-15
+        line = penrose.symbol_on_line(eq, re, down / k) / k**2
+        assert np.max(np.abs(line - dense_line_reference(eq, k, re * k, down))) <= 1e-15
 
 
 class TestDispersion:
@@ -199,7 +201,7 @@ class TestWinding:
         lines = []
         line_sum = penrose.symbol_on_line
         monkeypatch.setattr(penrose, "symbol_on_line",
-                            lambda eq, k, re, om: lines.append(re) or line_sum(eq, k, re, om))
+                            lambda eq, re, om: lines.append(re) or line_sum(eq, re, om))
         assert count_zeros(gaussian(), 1, (-1.2, -0.5, 3.0)) == 2
         assert -1.2 in lines and -0.5 in lines
         # the roots sit at Im = +-2.04590: the same rectangle cut to |Im| <= 1.5 holds none
@@ -221,7 +223,7 @@ class TestWinding:
         lines = []
         line_sum = penrose.symbol_on_line
         monkeypatch.setattr(penrose, "symbol_on_line",
-                            lambda eq, k, re, om: lines.append(re) or line_sum(eq, k, re, om))
+                            lambda eq, re, om: lines.append(re) or line_sum(eq, re, om))
         eq = gaussian()
         b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
         assert [count_zeros(eq, k, (0.0, b, 50.0)) for k in range(1, 5)] == [0] * 4
@@ -266,6 +268,111 @@ class TestMargin:
         # 1 - C0/(theta0 k)^2 > 0 needs k >= sqrt(40) ~ 6.32 > k_max_scan + 1 = 5
         with pytest.raises(ValueError, match=r"too small: envelope tail bound covers only k >= 6\.32"):
             margin(dataclasses.replace(gaussian(), C0=40.0), k_max_scan=4)
+
+
+class TestOneDispersionFunction:
+    """Every mode reads the one function L_1 at z = lambda/k against -k^2: margin and each
+    strip probe evaluate one contour per refinement level, whatever the number of modes."""
+
+    def test_margin_evaluates_one_contour_and_one_line(self, monkeypatch):
+        edges, line_sum = penrose._rectangle_edges, penrose.symbol_on_line
+        eq = two_stream(3.0)
+        b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
+        seen = {}
+        for k_max_scan in (1, 4, 8):
+            levels, lines = [], []
+            monkeypatch.setattr(penrose, "_rectangle_edges",
+                                lambda *args: levels.append(args) or edges(*args))
+            monkeypatch.setattr(penrose, "symbol_on_line", lambda eq, re, om: lines.append(
+                (re, om.size)) or line_sum(eq, re, om))
+            margin(eq, k_max_scan=k_max_scan, n_omega=2001)
+            # one (0, b, OMEGA_MAX) contour, density doubling per level, two vertical line
+            # sums per level, then the one boundary line sum
+            assert levels == [(0.0, b, penrose.OMEGA_MAX, 2 << j) for j in range(len(levels))]
+            assert [re for re, _ in lines] == [b, 0.0] * len(levels) + [0.0]
+            assert lines[-1] == (0.0, 2001)
+            seen[k_max_scan] = (levels, lines)
+        assert seen[1] == seen[4] == seen[8]
+
+    def test_each_strip_probe_is_one_contour(self, monkeypatch):
+        calls = []
+        windings = penrose._windings
+        monkeypatch.setattr(penrose, "_windings", lambda eq, rect, ks: calls.append(
+            (rect, tuple(ks))) or windings(eq, rect, ks))
+        eq = wide_two_stream()
+        assert penrose._certify_strip(eq) == pytest.approx(0.1335937, abs=1e-7)
+        ks = tuple(range(1, k_tail_threshold(eq)))
+        b = math.sqrt(2.0 * eq.C0) / eq.theta0 + 1.0
+        thetas = [-rect[0] for rect, _ in calls]
+        # theta0/2, the closed right half-plane, then nine bisection steps to 1e-3
+        assert len(calls) == 11 and len(set(thetas)) == 11 and thetas[:2] == [0.3, 0.0]
+        assert all(rect == (-theta, b, 40.0) and got == ks
+                   for (rect, got), theta in zip(calls, thetas))
+
+
+def stream_pair_mu(u, w):
+    """Streams at +-u of width w: mu(v) = [M((v - u)/w) + M((v + u)/w)] / (2 w)."""
+    def mu(v):
+        v = np.asarray(v, float)
+        return 0.5 * (np.exp(-0.5 * ((v - u) / w) ** 2)
+                      + np.exp(-0.5 * ((v + u) / w) ** 2)) / (w * math.sqrt(2.0 * math.pi))
+    return mu
+
+
+def penrose_P0(mu, n=16000, R=40.0):
+    """Penrose's P(0) = integral (mu(v) - mu(0)) / v^2 dv for an even profile, numpy only.
+
+    Trapezoid on [-R, R] with order-8 Gregory ends, the centre value mu''(0)/2 from a
+    second difference, and the exact tail -2 mu(0)/R (mu is negligible beyond R).
+    """
+    v = np.linspace(-R, R, n + 1)
+    h, mu0, d = 2.0 * R / n, float(mu(0.0)), 1e-3
+    g = np.full(v.size, 0.5 * (float(mu(d)) - 2.0 * mu0 + float(mu(-d))) / d**2)
+    off = v != 0.0
+    g[off] = (mu(v[off]) - mu0) / v[off] ** 2
+    w = np.full(v.size, h)
+    w[: GREGORY_WEIGHTS.size] *= 1.0 + GREGORY_WEIGHTS
+    w[-GREGORY_WEIGHTS.size :] *= 1.0 + GREGORY_WEIGHTS[::-1]
+    return float(w @ g) - 2.0 * mu0 / R
+
+
+# (equilibrium, its profile, P(0) where recorded, margin's windings for k = 1..8)
+CRITERION_CASES = {
+    "gaussian": (gaussian(), stream_pair_mu(0.0, 1.0), -1.0, [0] * 8),
+    "two_stream-1.5": (two_stream(1.5), stream_pair_mu(1.5, 1.0), 0.1282043150, [0] * 8),
+    "two_stream-3": (two_stream(3.0), stream_pair_mu(3.0, 1.0), 0.1795006375, [0] * 8),
+    "two_stream-5": (two_stream(5.0), stream_pair_mu(5.0, 1.0), 0.0462287860, [0] * 8),
+    "narrow": (narrow_two_stream(), stream_pair_mu(1.0, 0.3), None, [1] + [0] * 7),
+    "wide": (wide_two_stream(), stream_pair_mu(1.0, 0.6), None, [0] * 8),
+}
+
+
+class TestPenroseCriterion:
+    """L_1 against Penrose's criterion: D(k, 0) = 1 - P(0)/k^2 at the critical point v = 0
+    of an even profile, and mode k is unstable exactly when P(0) > k^2 there (O. Penrose,
+    Phys. Fluids 3, 258 (1960)); v = 0 is the only local minimum of these pairs."""
+
+    @pytest.mark.parametrize("name", list(CRITERION_CASES)[:4])
+    def test_symbol_at_origin_is_minus_P0(self, name):
+        eq, mu, want, _ = CRITERION_CASES[name]
+        v = np.linspace(-9.0, 9.0, 37)
+        np.testing.assert_allclose(mu(v), eq.mu(v), rtol=1e-15, atol=0.0)
+        P = penrose_P0(mu)
+        assert -laplace_symbol(eq, 1, 0.0) == pytest.approx(P, abs=1e-7)
+        assert P == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("name", list(CRITERION_CASES))
+    def test_margin_windings_are_the_criterion(self, name):
+        eq, mu, _, pinned = CRITERION_CASES[name]
+        P = penrose_P0(mu)
+        windings = [w for _, _, w in margin(eq, k_max_scan=8, n_omega=2001).windings]
+        assert windings == [int(P > k**2) for k in range(1, 9)] == pinned
+
+    def test_two_stream_P0_stays_below_one(self):
+        # unit-width streams never destabilize mode 1 on the 2 pi torus: the largest P(0)
+        # over u is 0.28475, near u = 2.125
+        P = [penrose_P0(stream_pair_mu(u, 1.0)) for u in np.linspace(0.0, 8.0, 129)]
+        assert max(P) <= 0.2848 and max(P) == pytest.approx(0.28475, abs=1e-5)
 
 
 class TestStripWidth:
@@ -390,8 +497,8 @@ class TestRootScan:
         # narrow's Re = -2.95 rows that is up to 1e13 |D|, and neither carries digits.
         re = np.linspace(rect[0], rect[1], 48)
         lam = re[:, None] + 1j * np.linspace(rect[2], rect[3], 48)[None, :]
-        t, w = penrose._gauss_panels(eq, k, lam, 1, 0.0)
-        scale = (1.0 + np.exp(-np.outer(re, t)) @ np.abs(w))[:, None]
+        s, w = penrose._gauss_panels(eq, lam / k, 1, 0.0)
+        scale = (1.0 + np.exp(-np.outer(re / k, s)) @ np.abs(w) / k**2)[:, None]
         err = np.abs(grids[0] - dense)
         assert np.all(err <= 1e-14 * scale)
         kept = scale <= 1e3 * dense

@@ -232,6 +232,19 @@ def test_root_scan_is_one_product():
     assert "_dominant_root" in _scoped(tree, _calls("_gauss_panels"))
 
 
+def test_l1_primitives_know_no_wavenumber():
+    # L(k, lambda) = L_1(lambda/|k|)/k^2: penrose's quadrature evaluates L_1 only, and
+    # laplace_symbol alone forms a mode's symbol, so no k or |k| rule reaches these.
+    path = Path(vpdamp.__file__).parent / "penrose.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_cutoff", "_symbol", "_gauss_panels", "symbol_on_line"):
+        found = sorted({node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+                       & {"k", "ak"})
+        found += [arg.arg for arg in defs[name].args.args if arg.arg in ("k", "ak")]
+        assert not found, (name, found)
+
+
 def test_one_fft_padding_rule():
     # spectral.fft_length sizes every zero-padded product: fft_convolve and the Volterra
     # march's splits pad alike, so the march's bit-identity oracle, which calls
