@@ -39,7 +39,7 @@ from .nonlinear import RunConfig, RunRecord, Snapshot, check_modes, echo_experim
 from .nonlinear import closure_residual  # noqa: F401  (perfbench's tracer wraps it here)
 from .norms import (WeightParams, check_contraction, check_F_le_sqrtG, check_multiplier,
                     check_propagator, eta_tail_fraction, fit_FG1, norm_profile, radius,
-                    require_snapshots, snapshot_density)
+                    require_snapshots)
 from .norms import check_FG1  # noqa: F401  (perfbench's tracer wraps vpdamp.cli.check_FG1)
 from .penrose import NoStableStripError, full_report, strip_width
 from .spectral import (Grid, check_resolution, check_strides, fft_length, record_steps,
@@ -411,10 +411,12 @@ _SNAP_HEADER = struct.Struct("<iidd")  # k_max, N_v, V, t
 
 
 def write_snapshot(path, cfg_hash: str, grid: Grid, snap: Snapshot) -> None:
+    """The hash, the header, rho_1..k_max as <c16, then the mode table as <c8."""
     data = np.ascontiguousarray(snap.data).astype("<c8", copy=False)
     with open(path, "wb") as fh:
         fh.write(cfg_hash.encode("ascii"))
         fh.write(_SNAP_HEADER.pack(grid.k_max, grid.N_v, grid.V, snap.t))
+        fh.write(np.asarray(snap.rho, dtype="<c16").tobytes())
         fh.write(data.tobytes(order="C"))
 
 
@@ -425,7 +427,7 @@ def _snapshot_header(path):
     if len(head) < 64 + _SNAP_HEADER.size:
         raise ValueError(f"{path} is too short to be a snapshot file")
     k_max, N_v, V, t = _SNAP_HEADER.unpack_from(head, 64)
-    expected = 64 + _SNAP_HEADER.size + 8 * (2 * k_max + 1) * N_v
+    expected = 64 + _SNAP_HEADER.size + 16 * k_max + 8 * (2 * k_max + 1) * N_v
     size = Path(path).stat().st_size
     if size != expected:
         raise ValueError(f"{path}: expected {expected} bytes for a "
@@ -436,8 +438,10 @@ def _snapshot_header(path):
 def read_snapshot(path):
     """(hash, grid, snapshot) back from the binary layout."""
     file_hash, grid, t = _snapshot_header(path)
-    data = np.fromfile(path, dtype="<c8", offset=64 + _SNAP_HEADER.size)
-    return file_hash, grid, Snapshot(t=t, data=data.reshape(grid.n_modes, grid.N_v))
+    offset = 64 + _SNAP_HEADER.size
+    rho = np.fromfile(path, dtype="<c16", count=grid.k_max, offset=offset)
+    data = np.fromfile(path, dtype="<c8", offset=offset + rho.nbytes)
+    return file_hash, grid, Snapshot(t=t, data=data.reshape(grid.n_modes, grid.N_v), rho=rho)
 
 
 @dataclass(frozen=True)
@@ -590,22 +594,17 @@ def _load_run(cfg: ExperimentConfig, opts: _Options) -> RunRecord:
                          f"(hash {file_hash[:12]}.., expected {h[:12]}..)")
     grid = cfg.grid()
     paths = sorted(opts.out_dir.glob("snapshot_*.bin"))
-    traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
-    stored = RunRecord(grid=grid, times=times, traces=traces, snapshots=_SnapshotFiles(paths))
     for path in paths:
-        s_hash, s_grid, t = _snapshot_header(path)
+        s_hash, s_grid, _ = _snapshot_header(path)
         if s_hash != h:
             raise ValueError(f"{path} was written by a different config")
         if s_grid != grid:
             raise ValueError(f"{path} grid {s_grid} does not match the config grid {grid}")
-        try:
-            snapshot_density(stored, t)
-        except ValueError as exc:
-            raise ValueError(f"{exc}; use a snapshot_stride that is a multiple of stride") from None
     if not paths:
         raise FileNotFoundError(f"no snapshot files in {opts.out_dir}; rerun the "
                                 "nonlinear subcommand with formats = csv,json,snapshots")
-    return stored
+    traces = {k: DensityTrace(k=k, times=times, values=v) for k, v in values.items()}
+    return RunRecord(grid=grid, times=times, traces=traces, snapshots=_SnapshotFiles(paths))
 
 
 def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
@@ -617,13 +616,12 @@ def _cmd_norms(cfg: ExperimentConfig, opts: _Options) -> tuple:
     sqrt_rows = []
     final = None
 
-    def sample(i, mass) -> None:  # the profile's folded mass, one snapshot at a time
+    def sample(i, snap, mass) -> None:  # the profile's folded mass, one snapshot at a time
         nonlocal final
         if i in pick:
             lam = float(radius(mass.t, params))
             zs = (0.0, lam / 2.0, lam)
-            rho = snapshot_density(stored, mass.t)
-            for z, m in zip(zs, check_F_le_sqrtG(mass, rho, zs, params)):
+            for z, m in zip(zs, check_F_le_sqrtG(mass, enumerate(snap.rho, 1), zs, params)):
                 sqrt_rows.append({"t": mass.t, "z": z, "margin": m.margin, "ok": m.ok})
         if i == n - 1:
             final = mass

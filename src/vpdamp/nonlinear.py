@@ -85,8 +85,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
+    """One stored step: its time, its state and the density rho_1..K that run measured from
+    the full-precision state at that step (a traced step's trace values)."""
+
     t: float
     data: np.ndarray  # (n_modes, N_v) complex64
+    rho: np.ndarray  # (k_max,) complex128
 
     def to_state(self, grid: Grid) -> SpectralState:
         return SpectralState(grid, self.data.astype(np.complex128), self.t)
@@ -95,7 +99,9 @@ class Snapshot:
 @dataclass
 class RunRecord:
     """What the weighted-norm diagnostics read from a run: a RunOutput, or the
-    CLI's rebuild from stored traces and snapshots."""
+    CLI's rebuild from stored traces and snapshots.  Each snapshot carries its own
+    density, so the snapshots need not fall on traced steps; the traces feed
+    check_contraction."""
 
     grid: Grid
     times: np.ndarray
@@ -228,7 +234,8 @@ class _Engine(_Coupling):
 def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) -> RunOutput:
     """Advance the configured state to t_final, recording traces and diagnostics.
 
-    Snapshots go to sink as they are taken (else to the output's list).  A dense run
+    Snapshots go to sink as they are taken (else to the output's list), each with the
+    density of its step, whether or not that step is traced.  A dense run
     (every step traced and snapshotted), with or without a sink, accumulates its
     closure residual (see _Closure) into the output's closure as it steps.  Each
     recorded step's state goes through spectral.refuse_boundary; a non-finite one
@@ -249,17 +256,19 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
     times_rec = dt * np.asarray(rec_idx, dtype=float)
     trace_vals = np.zeros((K, n_rec), dtype=np.complex128)
     mass, l2, reality, dealias, floor = np.zeros((5, n_rec))
-    rows = np.empty((K, g.N_v), dtype=np.complex128)  # phase rows of the last recorded step
+    rows = np.empty((K, g.N_v), dtype=np.complex128)  # phase rows of density's last time
 
     snapshots: list = []
     emit = snapshots.append if sink is None else sink
     dense = config.trace_stride == 1 and len(snap_set) == N + 1
     closure = _Closure(config, init.data, times_rec, eng) if dense else None
 
+    def density(t: float) -> np.ndarray:  # rho_1..K of the state at time t; fills rows
+        return eng.dv * np.einsum("kj,kj->k", data[K + 1 :], phase_rows(t, eng.v, K, rows))
+
     def record(n: int, drift: float) -> None:
         i, t = rec_set[n], n * dt
-        rho_pos = eng.dv * np.einsum("kj,kj->k", data[K + 1 :], phase_rows(t, eng.v, K, rows))
-        trace_vals[:, i] = rho_pos
+        trace_vals[:, i] = rho_pos = density(t)
         mass[i] = abs(eng.dv * np.sum(data[K]))
         a2 = np.abs(data) ** 2
         l2[i] = eng.dv * float(np.sum(a2))
@@ -277,11 +286,12 @@ def run(config: RunConfig, sink: Optional[Callable[[Snapshot], None]] = None) ->
         if n in rec_set:
             record(n, pending_drift)
             pending_drift = 0.0
-        if n in snap_set:
-            snap = Snapshot(n * dt, data.astype(np.complex64))
+        if n in snap_set:  # off a traced step (never in a dense run), density refills rows
+            rho = trace_vals[:, rec_set[n]].copy() if n in rec_set else density(n * dt)
+            snap = Snapshot(n * dt, data.astype(np.complex64), rho)
             emit(snap)
             if closure is not None:
-                closure.add(trace_vals[:, n], rows, snap.data[K:])
+                closure.add(snap.rho, rows, snap.data[K:])
 
     final = SpectralState(g, data.copy(), N * dt)
     traces = {

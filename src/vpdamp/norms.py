@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 # to_eta and eta_derivative stay bound here for perfbench's tracer; the norms use eta_mass.
-from .spectral import eta_derivative, eta_mass, require, same_time, to_eta  # noqa: F401
+from .spectral import eta_derivative, eta_mass, require, to_eta  # noqa: F401
 
 # Below this, a fitted-ratio denominator is treated as exactly zero.
 RATIO_FLOOR = 1e-300
@@ -212,19 +212,10 @@ class NormProfile:
             raise ValueError("F must be nondecreasing in z")
 
 
-def snapshot_density(output, t: float):
-    """Mode -> coefficient dict from the recorded traces at time t."""
-    times = output.times
-    i = int(np.searchsorted(times, t))
-    for j in (i, i - 1, i + 1):
-        if 0 <= j < times.size and same_time(times[j], t):
-            return {k: tr.values[j] for k, tr in output.traces.items()}
-    raise ValueError(f"traces were not recorded at snapshot time t = {t:g}")
-
-
 def norm_profile(output, params: WeightParams, each=None) -> NormProfile:
-    """Tabulate G and F over a RunRecord's snapshots and params.z_grid; each(i, mass), if
-    given, sees each snapshot's FoldedMass, built once, before the next snapshot is read."""
+    """Tabulate G and F over a RunRecord's snapshots and params.z_grid, F from the density
+    each snapshot carries; each(i, snap, mass), if given, sees each snapshot with its
+    FoldedMass, built once, before the next snapshot is read."""
     zs = params.z_grid
     grid = output.grid
     times = np.empty(len(output.snapshots))
@@ -237,10 +228,10 @@ def norm_profile(output, params: WeightParams, each=None) -> NormProfile:
         times[i] = snap.t
         mass = _folded(snap.to_state(grid), params, tables)
         G[i] = _G_radii(mass, 0.0, dz, zs.size, step)
-        terms = _F_terms(snapshot_density(output, snap.t), snap.t, params)
+        terms = _F_terms(enumerate(snap.rho, 1), snap.t, params)
         F[i] = [_F_from_terms(terms, float(z)) for z in zs]
         if each is not None:
-            each(i, mass)
+            each(i, snap, mass)
     return NormProfile(times=times, z_grid=zs, G=G, F=F,
                        lam=radius(times, params))
 

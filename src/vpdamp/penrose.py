@@ -10,8 +10,9 @@ the resolvent kernel.  Since mu_hat is even, s = |k| t gives the scaling
 identity L(k, lambda) = L_1(lambda/|k|)/k^2 for the one function L_1 = L(1, .):
 mode k's zeros solve L_1(z) = -k^2 at z = lambda/|k|.  This module evaluates
 only L_1 and reads mode k off it against the target -k^2 (Penrose's criterion
-in Nyquist form), so one contour serves every mode; laplace_symbol alone forms
-a mode's symbol.
+in Nyquist form), so one contour serves every mode.  laplace_symbol forms a mode's
+symbol at given points; linear.resolvent_kernel forms it on its inversion contour
+as symbol_on_line(eq, -theta_hat1, omega/|k|)/k^2.
 
 Everything here is numerical but deterministic.  Quadrature windows
 come from the declared transform envelopes, zero-freeness is certified

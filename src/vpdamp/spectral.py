@@ -32,9 +32,8 @@ to time T with modes |k| <= k_max therefore needs
 
 which `check_resolution` enforces.  Each input rule has one owner that
 raises it: `Grid` the grid (k_max >= 1, 0 < V < inf, N_v even and >= 2),
-`time_steps` the time grid of every run, `check_strides` the recording
-strides, whose steps `record_steps` lists, and `same_time` whether a time
-is a recorded one.
+`time_steps` the time grid of every run, and `check_strides` the recording
+strides, whose steps `record_steps` lists.
 
 Padding rule: every zero-padded FFT product pads to `fft_length`, the least 2^a 3^b 5^c not
 below its convolution length, which numpy transforms as fast per point as a power of two.
@@ -106,12 +105,6 @@ def check_strides(stride: int, snapshot_stride: int) -> None:
     require((stride >= 1, f"stride: need stride >= 1, got {stride}"),
             (snapshot_stride >= 0,
              f"snapshot_stride: need snapshot_stride >= 0, got {snapshot_stride}"))
-
-
-def same_time(a: float, b: float) -> bool:
-    """Whether a and b are one recorded time: within 1e-9 relative, the tolerance
-    time_steps gives T/dt.  Recorded times are n*dt on every side, so they match exactly."""
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 def record_steps(n_steps: int, stride: int) -> list:

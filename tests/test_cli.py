@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -310,7 +311,8 @@ class TestSnapshotIO:
         grid = Grid(k_max=2, V=8.0, N_v=16)
         rng = np.random.default_rng(3)
         data = (rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16)))
-        snap = Snapshot(t=1.25, data=data.astype(np.complex64))
+        rho = rng.normal(size=2) + 1j * rng.normal(size=2)
+        snap = Snapshot(t=1.25, data=data.astype(np.complex64), rho=rho)
         path = tmp_path / "s.bin"
         cli.write_snapshot(path, "ab" * 32, grid, snap)
         h, g, back = cli.read_snapshot(path)
@@ -318,6 +320,33 @@ class TestSnapshotIO:
         assert g == grid and back.t == 1.25
         assert back.data.dtype == np.complex64
         np.testing.assert_array_equal(back.data, snap.data)
+        assert back.rho.dtype == np.complex128
+        np.testing.assert_array_equal(back.rho, rho)
+
+    def test_layout_is_the_readme_layout(self, tmp_path):
+        # a reader written from the README's Artifacts entry alone decodes the file
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        entry = readme[readme.index("- `snapshot_NNNNNN.bin`"):readme.index("- `norm_profile.csv`")]
+        parts = ["64 ASCII hex characters", "struct '<iidd'", "(k_max, N_v, V, t)",
+                 "`<c16`", "`<c8`", "`(2*k_max + 1, N_v)`"]
+        where = [entry.index(part) for part in parts]  # each named, in file order
+        assert where == sorted(where)
+        grid = Grid(k_max=3, V=6.0, N_v=20)
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(7, 20)) + 1j * rng.normal(size=(7, 20))
+        rho = rng.normal(size=3) + 1j * rng.normal(size=3)
+        snap = Snapshot(t=0.75, data=data.astype(np.complex64), rho=rho)
+        path = tmp_path / "s.bin"
+        cli.write_snapshot(path, "cd" * 32, grid, snap)
+        raw = path.read_bytes()
+        k_max, n_v, V, t = struct.unpack_from("<iidd", raw, 64)
+        at = 64 + struct.calcsize("<iidd")
+        got_rho = np.frombuffer(raw, dtype="<c16", count=k_max, offset=at)
+        table = np.frombuffer(raw, dtype="<c8", offset=at + 16 * k_max)
+        assert raw[:64].decode("ascii") == "cd" * 32
+        assert (k_max, n_v, V, t) == (3, 20, 6.0, 0.75)
+        assert np.array_equal(got_rho, rho)
+        assert np.array_equal(table.reshape(2 * k_max + 1, n_v), snap.data)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "s.bin"
@@ -628,7 +657,7 @@ class TestStreamedRun:
             cli.write_snapshot(last, "ab" * 32, grid, snap)
         elif damage == "grid":
             cli.write_snapshot(last, h, Grid(k_max=2, V=8.0, N_v=128),
-                               Snapshot(snap.t, snap.data[:, ::2]))
+                               Snapshot(snap.t, snap.data[:, ::2], snap.rho))
         else:
             last.write_bytes(last.read_bytes()[:-8])
         monkeypatch.setattr(cli, "norm_profile", lambda *args: pytest.fail("norm_profile ran"))
@@ -636,20 +665,34 @@ class TestStreamedRun:
         assert cli.main(["norms", "--config", str(path)]) == 1
         assert re.search(message, capsys.readouterr().err)
 
-    def test_norms_refuses_misaligned_strides_before_computing(self, tmp_path, monkeypatch,
-                                                               capsys):
-        # snapshots every 5 steps, traces every 3: the snapshot at t = 0.05 has no trace
+    def test_norms_reads_each_snapshot_density_at_any_strides(self, tmp_path):
+        # snapshots every 5 steps, traces every 3: the snapshot at t = 0.05 falls between
+        # traces and carries the density measured at its own step, bit-equal to a stride-1
+        # run's trace there, and norms takes F from it
         path = write_config(tmp_path, config_text(tmp_path / "o", T=0.5, stride=3,
                                                   snapshot_stride=5))
         assert cli.main(["nonlinear", "--config", str(path)]) == 0
-        calls = []
-        monkeypatch.setattr(cli, "norm_profile", lambda *args: calls.append(args))
-        capsys.readouterr()
-        assert cli.main(["norms", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "traces were not recorded at snapshot time t = 0.05" in err
-        assert "use a snapshot_stride that is a multiple of stride" in err
-        assert calls == []
+        assert cli.main(["norms", "--config", str(path)]) == 0
+        cfg = cli.parse(path.read_text())
+        traced = cli.parse(config_text(tmp_path / "d", T=0.5, stride=1, snapshot_stride=0))
+        traces = run(traced.run_config(0)).traces
+        params = cfg.weights()
+        files = sorted((tmp_path / "o").glob("snapshot_*.bin"))
+        rows = (tmp_path / "o" / "norm_profile.csv").read_text().splitlines()[2:]
+        assert len(files) == 11 and len(rows) == 11 * params.z_grid.size
+        for i, file in enumerate(files):
+            snap = cli.read_snapshot(file)[2]
+            n = 5 * i
+            assert snap.t == n * cfg.dt
+            want = np.array([traces[k].values[n] for k in sorted(traces)])
+            assert np.array_equal(snap.rho, want)
+            rho = dict(enumerate(want, 1))
+            for j, z in enumerate(params.z_grid):
+                t, _, _, F, _ = rows[i * params.z_grid.size + j].split(",")
+                assert float(t) == snap.t
+                assert float(F) == norms.gen_F(rho, snap.t, float(z), params)
+        rep = json.loads((tmp_path / "o" / "norms.json").read_text())
+        assert rep["n_snapshots"] == 11 and rep["sqrt_domination_ok"] is True
 
 
 class TestEchoCommand:

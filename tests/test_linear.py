@@ -23,6 +23,7 @@ from vpdamp.linear import (
 )
 from vpdamp.penrose import full_report
 from vpdamp.spectral import chirp_sum, fft_convolve, phase_sum
+from stream_pairs import narrow_two_stream
 
 # Dominant Landau root of the gaussian background at k = 1, frozen from an
 # independent trapezoid-quadrature Newton oracle.
@@ -31,15 +32,6 @@ GAUSSIAN_ROOT_K1 = -0.8513304555998186 + 2.045904868820431j
 EQ = gaussian()
 STUB = zero()
 EPS = 1e-3
-
-
-def narrow_two_stream():
-    """Streams at +-1 of width 0.3: mu_hat = cos(eta) e^{-0.045 eta^2}, unstable at k = 1
-    (growth rate 0.206); the same equilibrium as test_penrose's."""
-    return dataclasses.replace(
-        two_stream(1.0), theta0=0.3,
-        mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.045 * np.asarray(eta, float) ** 2),
-        hat_log_envelope=lambda eta: -0.045 * np.asarray(eta, float) ** 2)
 
 
 def single_mode_source(k=1, eps=EPS, offset=0.0):

@@ -12,14 +12,12 @@ from vpdamp.linear import cosine_initial_hat, fit_decay, source_from_initial, vo
 from vpdamp.nonlinear import (
     MissingSnapshotsError,
     RunConfig,
-    Snapshot,
     StabilityError,
     closure_residual,
     echo_experiment,
     initial_state,
     run,
 )
-from vpdamp.norms import snapshot_density
 from vpdamp.spectral import BoundaryDecayError, Grid, boundary_floors, phase_rows
 
 # Dominant dispersion zero of two_stream(3) at k = 1 (damped on the unit
@@ -509,25 +507,6 @@ class TestClosure:
         with pytest.raises(MissingSnapshotsError, match="dense snapshots"):
             closure_residual(run(cfg))
 
-    @pytest.mark.parametrize("rel", [1e-10, 1e-8])
-    def test_one_recorded_time_rule(self, rel):
-        # the norms' density lookup judges a snapshot time by spectral.same_time's rule:
-        # 1e-10 relative is the recorded time, 1e-8 relative is not
-        cfg = RunConfig(eq=EQ, grid=GRID, dt=1e-2, t_final=2.0, modes=((1, 1e-3, 0.0),),
-                        snapshot_stride=1)
-        out = run(cfg)
-        snap = out.snapshots[150]
-        out.snapshots[150] = moved = Snapshot(snap.t * (1.0 + rel), snap.data)
-
-        def accepts(read) -> bool:
-            try:
-                read()
-            except ValueError:
-                return False
-            return True
-
-        assert accepts(lambda: snapshot_density(out, moved.t)) == (rel < 1e-9)
-
 
 class TestSnapshotSink:
     @pytest.mark.parametrize("stride", [1, 3])
@@ -541,6 +520,19 @@ class TestSnapshotSink:
             assert a.t == b.t and np.array_equal(a.data, b.data)
         np.testing.assert_array_equal(streamed.final_state.data, kept.final_state.data)
         assert kept.closure == streamed.closure
+
+    @pytest.mark.parametrize("strides", [(3, 5), (1, 2), (4, 2)])
+    def test_each_snapshot_carries_its_step_density(self, strides):
+        # traced step or not, a snapshot's rho is what a stride-1 run traces at its step
+        kw = dict(eq=EQ, grid=GRID, dt=1e-2, t_final=0.5,
+                  modes=((1, 1e-2, 0.0), (2, 5e-3, 1.0)))
+        traced = run(RunConfig(**kw)).traces
+        out = run(RunConfig(**kw, trace_stride=strides[0], snapshot_stride=strides[1]))
+        assert len(out.snapshots) == 50 // strides[1] + 1
+        for snap in out.snapshots:
+            n = round(snap.t / 1e-2)
+            assert snap.rho.dtype == np.complex128
+            assert np.array_equal(snap.rho, [traced[k].values[n] for k in sorted(traced)])
 
     def test_dense_closure_accumulated_in_the_step_loop(self):
         # the same accumulator in the step loop, with a sink or without one: equal bits

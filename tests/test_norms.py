@@ -28,7 +28,6 @@ from vpdamp.norms import (
     norm_profile,
     radius,
     radius_derivative,
-    snapshot_density,
 )
 from norm_oracles import gen_G, standard_params, weight
 from vpdamp.penrose import strip_width
@@ -543,13 +542,16 @@ def synthetic_record(grid, seed, n=3):
     rng = np.random.default_rng(seed)
     times = 0.1 * np.arange(n)
     shape = (grid.n_modes, grid.N_v)
-    snaps = []
-    for t in times:
+    states = []
+    for _ in times:
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         data *= np.exp(-0.5 * grid.v**2)
-        snaps.append(Snapshot(t=float(t), data=data.astype(np.complex64)))
+        states.append(data.astype(np.complex64))
     traces = {k: DensityTrace(k=k, times=times, values=rng.standard_normal(n) + 1j)
               for k in range(1, grid.k_max + 1)}
+    snaps = [Snapshot(t=float(t), data=data,
+                      rho=np.array([tr.values[i] for tr in traces.values()]))
+             for i, (t, data) in enumerate(zip(times, states))]
     return RunRecord(grid=grid, times=times, traces=traces, snapshots=snaps)
 
 
@@ -594,7 +596,7 @@ class TestFoldedTables:
         params = dataclasses.replace(PARAMS, gamma=gamma, delta=delta)
         record = synthetic_record(grid, seed=k_max + 1)
         state = record.snapshots[-1].to_state(grid)
-        rho = snapshot_density(record, state.t)
+        rho = dict(enumerate(record.snapshots[-1].rho, 1))
         for z in (0.0, 0.05, 0.1):
             sq = math.sqrt(ref_G(state, z, params))
             margin = sq - ref_F(rho, state.t, z, params)

@@ -25,6 +25,8 @@ from vpdamp.penrose import (
     strip_width,
 )
 from vpdamp.spectral import GREGORY_WEIGHTS
+from stream_pairs import (narrow_two_stream, stream_pair_mu, stream_pair_mu_prime,
+                          wide_two_stream)
 
 # Reference roots from an independent trapezoid-quadrature Newton oracle,
 # frozen; the module must reproduce them through its own quadrature.
@@ -34,23 +36,6 @@ GAUSSIAN_ROOT_K2 = -2.827200262773465 + 3.1891361967787177j
 # Purely growing root of NARROW at k = 1 (D is real on the real axis and
 # changes sign there), frozen from the Newton root finder.
 NARROW_ROOT_K1 = 0.2064671569837391
-
-
-def narrow_two_stream():
-    """Streams at +-1 of width 0.3: mu_hat = cos(eta) e^{-0.045 eta^2}, unstable at k = 1."""
-    return dataclasses.replace(
-        two_stream(1.0), theta0=0.3,
-        mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.045 * np.asarray(eta, float) ** 2),
-        hat_log_envelope=lambda eta: -0.045 * np.asarray(eta, float) ** 2)
-
-
-def wide_two_stream():
-    """Streams at +-1 of width 0.6: mu_hat = cos(eta) e^{-0.18 eta^2}, stable, with a real
-    k = 1 zero inside the widest strip probed, Re lambda > -theta0/2."""
-    return dataclasses.replace(
-        two_stream(1.0), theta0=0.6,
-        mu_hat=lambda eta: np.cos(np.asarray(eta, float)) * np.exp(-0.18 * np.asarray(eta, float) ** 2),
-        hat_log_envelope=lambda eta: -0.18 * np.asarray(eta, float) ** 2)
 
 
 # Recorded boundary-scan reference (regression pin, not an external truth).
@@ -310,68 +295,119 @@ class TestOneDispersionFunction:
                    for (rect, got), theta in zip(calls, thetas))
 
 
-def stream_pair_mu(u, w):
-    """Streams at +-u of width w: mu(v) = [M((v - u)/w) + M((v + u)/w)] / (2 w)."""
-    def mu(v):
-        v = np.asarray(v, float)
-        return 0.5 * (np.exp(-0.5 * ((v - u) / w) ** 2)
-                      + np.exp(-0.5 * ((v + u) / w) ** 2)) / (w * math.sqrt(2.0 * math.pi))
-    return mu
+def penrose_P(eq, v0=0.0, n=16000, R=40.0):
+    """Penrose's P(v0) = integral (mu(v) - mu(v0)) / (v - v0)^2 dv at a critical point v0
+    of eq.mu, numpy only.
 
-
-def penrose_P0(mu, n=16000, R=40.0):
-    """Penrose's P(0) = integral (mu(v) - mu(0)) / v^2 dv for an even profile, numpy only.
-
-    Trapezoid on [-R, R] with order-8 Gregory ends, the centre value mu''(0)/2 from a
-    second difference, and the exact tail -2 mu(0)/R (mu is negligible beyond R).
+    Trapezoid on [v0 - R, v0 + R] with order-8 Gregory ends, the centre value mu''(v0)/2
+    from a central difference of mu', and the exact tail -2 mu(v0)/R (mu is negligible
+    beyond R).
     """
-    v = np.linspace(-R, R, n + 1)
-    h, mu0, d = 2.0 * R / n, float(mu(0.0)), 1e-3
-    g = np.full(v.size, 0.5 * (float(mu(d)) - 2.0 * mu0 + float(mu(-d))) / d**2)
-    off = v != 0.0
-    g[off] = (mu(v[off]) - mu0) / v[off] ** 2
-    w = np.full(v.size, h)
+    s = np.linspace(-R, R, n + 1)  # v - v0
+    h, mu0, d = 2.0 * R / n, float(eq.mu(v0)), 1e-5
+    g = np.full(s.size, 0.25 * (float(eq.mu_prime(v0 + d)) - float(eq.mu_prime(v0 - d))) / d)
+    off = s != 0.0
+    g[off] = (eq.mu(v0 + s[off]) - mu0) / s[off] ** 2
+    w = np.full(s.size, h)
     w[: GREGORY_WEIGHTS.size] *= 1.0 + GREGORY_WEIGHTS
     w[-GREGORY_WEIGHTS.size :] *= 1.0 + GREGORY_WEIGHTS[::-1]
     return float(w @ g) - 2.0 * mu0 / R
 
 
-# (equilibrium, its profile, P(0) where recorded, margin's windings for k = 1..8)
+def critical_points(eq):
+    """The critical points of an even stream pair's mu: v = 0 and, when the origin is a
+    local minimum, the two maxima +-v_m, found by bisection on mu'."""
+    if not eq.mu_prime(1e-3) > 0.0:
+        return [0.0]
+    lo, hi = 1e-3, 0.5
+    while eq.mu_prime(hi) > 0.0:
+        lo, hi = hi, hi + 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if eq.mu_prime(mid) > 0.0 else (lo, mid)
+    return [0.0, lo, -lo]
+
+
+# (equilibrium, P(0) where recorded, margin's windings for k = 1..8)
 CRITERION_CASES = {
-    "gaussian": (gaussian(), stream_pair_mu(0.0, 1.0), -1.0, [0] * 8),
-    "two_stream-1.5": (two_stream(1.5), stream_pair_mu(1.5, 1.0), 0.1282043150, [0] * 8),
-    "two_stream-3": (two_stream(3.0), stream_pair_mu(3.0, 1.0), 0.1795006375, [0] * 8),
-    "two_stream-5": (two_stream(5.0), stream_pair_mu(5.0, 1.0), 0.0462287860, [0] * 8),
-    "narrow": (narrow_two_stream(), stream_pair_mu(1.0, 0.3), None, [1] + [0] * 7),
-    "wide": (wide_two_stream(), stream_pair_mu(1.0, 0.6), None, [0] * 8),
+    "gaussian": (gaussian(), -1.0, [0] * 8),
+    "two_stream-1.5": (two_stream(1.5), 0.1282043150, [0] * 8),
+    "two_stream-3": (two_stream(3.0), 0.1795006375, [0] * 8),
+    "two_stream-5": (two_stream(5.0), 0.0462287860, [0] * 8),
+    "narrow": (narrow_two_stream(), None, [1] + [0] * 7),
+    "wide": (wide_two_stream(), None, [0] * 8),
 }
+STABLE_CASES = [name for name, (_, _, windings) in CRITERION_CASES.items() if not any(windings)]
+
+
+class TestStreamPairs:
+    """The test-local pairs are one profile each: mu' is the derivative of mu, and mu_hat
+    its transform, at the pair's own width."""
+
+    @pytest.mark.parametrize("u", [0.0, 1.5, 3.0, 5.0])
+    def test_unit_width_is_the_catalog(self, u):
+        v = np.linspace(-9.0, 9.0, 37)
+        eq = two_stream(u)
+        np.testing.assert_allclose(stream_pair_mu(u, 1.0)(v), eq.mu(v), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(stream_pair_mu_prime(u, 1.0)(v), eq.mu_prime(v),
+                                   rtol=1e-14, atol=1e-17)
+
+    @pytest.mark.parametrize("make", [narrow_two_stream, wide_two_stream])
+    def test_mu_prime_and_mu_hat_belong_to_mu(self, make):
+        eq = make()
+        v, d = np.linspace(-6.0, 6.0, 24001), 1e-5
+        dv = v[1] - v[0]
+        slope = (eq.mu(v + d) - eq.mu(v - d)) / (2.0 * d)
+        np.testing.assert_allclose(eq.mu_prime(v), slope, rtol=0.0, atol=1e-8)
+        eta = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+        hat = dv * (np.exp(-1j * np.outer(eta, v)) @ eq.mu(v))  # spectrally accurate
+        np.testing.assert_allclose(hat, eq.mu_hat(eta), rtol=0.0, atol=1e-12)
 
 
 class TestPenroseCriterion:
-    """L_1 against Penrose's criterion: D(k, 0) = 1 - P(0)/k^2 at the critical point v = 0
-    of an even profile, and mode k is unstable exactly when P(0) > k^2 there (O. Penrose,
+    """L_1 against Penrose's criterion: D(k, -i k v0 + 0) = 1 - P(v0)/k^2 at each critical
+    point v0 of an even profile, and mode k is unstable exactly when P(0) > k^2 (O. Penrose,
     Phys. Fluids 3, 258 (1960)); v = 0 is the only local minimum of these pairs."""
 
     @pytest.mark.parametrize("name", list(CRITERION_CASES)[:4])
     def test_symbol_at_origin_is_minus_P0(self, name):
-        eq, mu, want, _ = CRITERION_CASES[name]
-        v = np.linspace(-9.0, 9.0, 37)
-        np.testing.assert_allclose(mu(v), eq.mu(v), rtol=1e-15, atol=0.0)
-        P = penrose_P0(mu)
+        eq, want, _ = CRITERION_CASES[name]
+        P = penrose_P(eq)
         assert -laplace_symbol(eq, 1, 0.0) == pytest.approx(P, abs=1e-7)
         assert P == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("name", list(CRITERION_CASES))
     def test_margin_windings_are_the_criterion(self, name):
-        eq, mu, _, pinned = CRITERION_CASES[name]
-        P = penrose_P0(mu)
+        eq, _, pinned = CRITERION_CASES[name]
+        P = penrose_P(eq)
         windings = [w for _, _, w in margin(eq, k_max_scan=8, n_omega=2001).windings]
         assert windings == [int(P > k**2) for k in range(1, 9)] == pinned
+
+    @pytest.mark.parametrize("name", list(CRITERION_CASES))
+    def test_symbol_at_every_critical_point_is_minus_P(self, name):
+        # the Plemelj jump of L across the axis is proportional to mu'(v0), so it
+        # vanishes at a critical point and L(k, -i k v0) is real
+        eq = CRITERION_CASES[name][0]
+        points = critical_points(eq)
+        assert len(points) == (1 if name == "gaussian" else 3)
+        for v0 in points:
+            P = penrose_P(eq, v0)
+            for k in range(1, 5):
+                assert abs(laplace_symbol(eq, k, -1j * k * v0) + P / k**2) <= 1e-8, (v0, k)
+
+    @pytest.mark.parametrize("name", STABLE_CASES)
+    def test_margin_is_below_the_symbol_at_every_critical_point(self, name):
+        # kappa0 is an infimum of |D| over Re lambda >= 0, and -i k v0 is on that boundary;
+        # P is good to 1e-8 (above), and the wide pair's kappa0 is D(1, 0) itself
+        eq = CRITERION_CASES[name][0]
+        kappa0 = margin(eq, k_max_scan=4).kappa0
+        for v0 in critical_points(eq):
+            P = penrose_P(eq, v0)
+            assert all(kappa0 <= abs(1.0 - P / k**2) + 1e-8 for k in range(1, 5)), (v0, P)
 
     def test_two_stream_P0_stays_below_one(self):
         # unit-width streams never destabilize mode 1 on the 2 pi torus: the largest P(0)
         # over u is 0.28475, near u = 2.125
-        P = [penrose_P0(stream_pair_mu(u, 1.0)) for u in np.linspace(0.0, 8.0, 129)]
+        P = [penrose_P(two_stream(u)) for u in np.linspace(0.0, 8.0, 129)]
         assert max(P) <= 0.2848 and max(P) == pytest.approx(0.28475, abs=1e-5)
 
 

@@ -264,6 +264,31 @@ def test_one_stream_construction():
     assert sorted(_scoped(tree, _calls("Equilibrium"))) == ["_streams", "zero"]
 
 
+def test_norms_look_no_density_up_by_time():
+    # each snapshot carries the density of its step, so norms pairs F with G through the
+    # snapshot and never matches a snapshot time against the traces
+    path = Path(vpdamp.__file__).parent / "norms.py"
+    used = _used(ast.parse(path.read_text(), filename=str(path)), strings=True)
+    assert not used & {"snapshot_density", "searchsorted", "same_time"}
+
+
+def test_red_set_checker_reads_the_summary():
+    # tests/check_red_set.py compares the summary's FAILED and ERROR ids with its red set,
+    # which names only tests the README lists as failing by design
+    import check_red_set
+    report = ("..F.\nFAILED tests/test_a.py::T::test_x[1-2] - AssertionError: a - b\n"
+              "ERROR tests/test_b.py - ImportError: no\nFAILED tests/test_c.py::test_y\n"
+              "1 failed, 3 passed\n")
+    assert check_red_set.failing_ids(report) == {"tests/test_a.py::T::test_x[1-2]",
+                                                 "tests/test_b.py", "tests/test_c.py::test_y"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    by_design = readme[readme.index("fail **by design**"):readme.index("Everything else is green")]
+    assert len(check_red_set.RED) == 7
+    for node in check_red_set.RED:
+        path, *names = node.split("::")
+        assert f"{path.split('/')[-1]}::{names[0]}" in by_design, node
+
+
 def _used(tree, strings=False) -> set:
     """Names, attributes and imported names a tree mentions; with strings, its str constants."""
     used = set()
